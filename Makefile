@@ -15,10 +15,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
-		./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
-		./internal/resilience/... ./internal/core/... ./internal/server/... \
-		./internal/analysis/... ./internal/plan/...
+	go test -race $$(./verify.sh -race-pkgs)
 
 lint:
 	go run ./cmd/kwslint ./...

@@ -18,11 +18,12 @@ import (
 
 	"kwsearch/internal/core"
 	"kwsearch/internal/dataset"
+	"kwsearch/internal/exec"
 	"kwsearch/internal/shard"
 )
 
 func init() {
-	register("E40", "Scatter-gather sharding: one logical engine over N shard engines (speedup, merge overhead, byte-identity)", runE40)
+	register("E40", "Scatter-gather sharding: one logical engine over N partitioned executors (speedup, merge overhead, byte-identity)", runE40)
 }
 
 // shardArms are the shard counts E40 measures.
@@ -108,7 +109,7 @@ func measureSharding() (shardingJSON, error) {
 	doc := shardingJSON{Dataset: "dblp", Queries: len(reqs), Cores: runtime.GOMAXPROCS(0)}
 
 	// Single-engine reference through the exec pool (the path every
-	// shard view also runs, so the comparison covers order and ties).
+	// shard executor also runs, so the comparison covers order and ties).
 	refs := make([]string, len(reqs))
 	for i, req := range reqs {
 		breq := req
@@ -126,7 +127,7 @@ func measureSharding() (shardingJSON, error) {
 		if err != nil {
 			return doc, err
 		}
-		// Identity pass (also warms the arm's private shard caches).
+		// Identity pass (also warms the arm's private executor caches).
 		for i, req := range reqs {
 			resp, err := coord.Query(context.Background(), req)
 			if err != nil {
@@ -152,7 +153,7 @@ func measureSharding() (shardingJSON, error) {
 				mergeTotal += resp.Stats.Merge
 			}
 		})
-		critical, work, err := shardCriticalPath(engine, reqs, n)
+		critical, work, err := shardCriticalPath(coord, reqs)
 		if err != nil {
 			return doc, err
 		}
@@ -177,32 +178,28 @@ func measureSharding() (shardingJSON, error) {
 	return doc, nil
 }
 
-// shardCriticalPath times each shard's sub-query alone — one shard view
-// per shard, queried serially, best of 3 with a cold result cache — so
-// the numbers measure per-shard work rather than this machine's core
-// count. Per query it accumulates the slowest shard (the critical path
-// a one-core-per-shard deployment waits on) and the shard sum (the
-// total work the fan-out spends).
-func shardCriticalPath(engine *core.Engine, reqs []core.Request, n int) (critical, work time.Duration, err error) {
-	views := make([]*core.Engine, n)
-	for s := 0; s < n; s++ {
-		views[s] = engine.ShardView(shard.OwnedBy(s, n), nil)
-	}
+// shardCriticalPath times each shard's sub-query alone — the
+// coordinator's partitioned executors, queried serially, best of 3 with
+// a cold result cache — so the numbers measure per-shard work rather
+// than this machine's core count. Per query it accumulates the slowest
+// shard (the critical path a one-core-per-shard deployment waits on)
+// and the shard sum (the total work the fan-out spends). The executors
+// are already warm from the arm's identity and timing passes.
+func shardCriticalPath(coord *shard.Coordinator, reqs []core.Request) (critical, work time.Duration, err error) {
 	for _, req := range reqs {
-		req.Workers = 1
+		q := exec.Query{Terms: coord.Terms(req.Query, false), K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: 1}
 		slowest := time.Duration(0)
-		for _, v := range views {
-			// Warm the view's plan fetch path once, then time with the
-			// result cache cold (the steady state the wall pass uses).
-			if _, err := v.Query(context.Background(), req); err != nil {
-				return 0, 0, err
-			}
+		for s := 0; s < coord.Shards(); s++ {
+			x := coord.Executor(s)
 			d := bestOf(3, func() {
-				v.Exec.InvalidateResults()
-				if _, qerr := v.Query(context.Background(), req); qerr != nil {
-					panic(qerr)
+				x.InvalidateResults()
+				if _, _, qerr := x.TopK(context.Background(), q); qerr != nil {
+					err = qerr
 				}
 			})
+			if err != nil {
+				return 0, 0, err
+			}
 			work += d
 			if d > slowest {
 				slowest = d

@@ -93,7 +93,7 @@ func run() int {
 		return 2
 	}
 	// The serving seam is core.Searcher: a bare engine, or the
-	// scatter-gather coordinator over N shard views of it.
+	// scatter-gather coordinator over N partitioned executors of it.
 	var searcher core.Searcher = engine
 	if *shards > 1 {
 		coord, err := shard.New(engine, shard.Options{Shards: *shards})

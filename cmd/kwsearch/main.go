@@ -76,7 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 	// The searcher seam: a bare engine, or the scatter-gather coordinator
-	// over N shard views of it — every later step is identical.
+	// over N partitioned executors of it — every later step is identical.
 	var searcher core.Searcher = engine
 	if *shards > 1 {
 		coord, err := shard.New(engine, shard.Options{Shards: *shards})

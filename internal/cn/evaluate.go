@@ -153,9 +153,17 @@ func (ev *Evaluator) joinCandidates(c *CN, e EdgeSpec, from int, tp *relstore.Tu
 	return out
 }
 
-// allTermsMask is the bitmask with one bit per query term.
+// MaxTerms is the most query terms a term mask can track: masks are
+// uint32 with one bit per term, so a 33rd term's bit would be silently
+// dropped and results missing that term would count as total. Callers
+// bound queries to it (core rejects longer CN and SPARK queries with
+// ErrBadQuery).
+const MaxTerms = 32
+
+// allTermsMask is the bitmask with one bit per query term. It panics on
+// more than MaxTerms terms rather than return a mask that drops some.
 func (ev *Evaluator) allTermsMask() uint32 {
-	return (uint32(1) << uint(len(ev.Terms))) - 1
+	return ^uint32(0) >> (MaxTerms - len(ev.Terms))
 }
 
 // EvaluateCN produces every total and minimal joining tree of tuples for c:

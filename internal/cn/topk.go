@@ -171,15 +171,22 @@ func TopKGlobalPipelineTraced(ev *Evaluator, cns []*CN, k int, sp *obs.Span) []R
 	return rs
 }
 
-// certifiedPrefix returns the leading results whose scores strictly
-// dominate bound (epsilon-safe): exactly the prefix of the full top-k a
-// deadline-interrupted evaluation can still prove correct, because no
-// unevaluated work can reach those scores. Results tied with bound are
-// dropped — a remaining CN could produce an equal-score twin that the
-// deterministic total order would rank ahead of them.
-func certifiedPrefix(rs []Result, bound float64) []Result {
+// Dominates reports a > b by a genuine margin (epsilon-safe): only then
+// is dropping work bounded by b provably harmless, ties included. It is
+// the one domination check behind every top-k prune and certificate.
+func Dominates(a, b float64) bool {
+	return a > b && !fmath.Eq(a, b)
+}
+
+// CertifiedPrefix returns the leading results whose scores strictly
+// dominate bound: exactly the prefix of the full top-k an interrupted
+// evaluation can still prove correct, because no unevaluated work can
+// reach those scores. Results tied with bound are dropped — a remaining
+// CN could produce an equal-score twin that the deterministic total
+// order would rank ahead of them.
+func CertifiedPrefix(rs []Result, bound float64) []Result {
 	i := 0
-	for i < len(rs) && rs[i].Score > bound && !fmath.Eq(rs[i].Score, bound) {
+	for i < len(rs) && Dominates(rs[i].Score, bound) {
 		i++
 	}
 	return rs[:i]
@@ -254,7 +261,7 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 		if err != nil {
 			// b is the max score any remaining work can reach, so the
 			// results strictly above it are final.
-			top = certifiedPrefix(top, b)
+			top = CertifiedPrefix(top, b)
 			sp.SetAttr("driver_advances", advances)
 			sp.SetAttr("produced", produced)
 			sp.SetAttr("certified_early", false)

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"kwsearch/internal/banks"
 	"kwsearch/internal/clean"
@@ -29,7 +28,6 @@ import (
 	"kwsearch/internal/obs"
 	"kwsearch/internal/plan"
 	"kwsearch/internal/relstore"
-	"kwsearch/internal/resilience"
 	"kwsearch/internal/schemagraph"
 	"kwsearch/internal/spark"
 	"kwsearch/internal/steiner"
@@ -113,52 +111,6 @@ func ParseSemantics(name string) (Semantics, error) {
 	return Auto, badQuery(fmt.Sprintf("core: unknown semantics %q", name))
 }
 
-// Options tunes a search.
-type Options struct {
-	// K bounds the result count (default 10).
-	K int
-	// Semantics selects the result definition (default CandidateNetworks
-	// for relational engines, SLCA for XML engines).
-	Semantics Semantics
-	// MaxCNSize bounds candidate-network size (default 5).
-	MaxCNSize int
-	// Clean runs noisy-channel query cleaning before searching.
-	Clean bool
-	// Trace enables per-query span collection: Query returns the span
-	// tree in Response.Trace (kwsearch -trace prints it). Search ignores
-	// the collected trace but still pays its (small) cost.
-	Trace bool
-	// Observer, when non-nil, is called at the end of every Query with
-	// that query's Stats and Trace (trace nil unless Trace is set).
-	Observer QueryObserver
-	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation. 0 or 1 keeps the serial paths; >1 routes CN searches
-	// through the internal/exec cached executor and SLCA through the
-	// range-split parallel algorithm. SLCA answers are identical either
-	// way. CN scores are too, but among equal-score results at the k
-	// boundary the executor matches the exhaustive-evaluation reference
-	// order, while the serial Global Pipeline's early termination may
-	// surface a different subset of the tied results.
-	Workers int
-}
-
-func (o Options) withDefaults(xml bool) Options {
-	if o.K <= 0 {
-		o.K = 10
-	}
-	if o.MaxCNSize <= 0 {
-		o.MaxCNSize = 5
-	}
-	if o.Semantics == Auto {
-		if xml {
-			o.Semantics = SLCA
-		} else {
-			o.Semantics = CandidateNetworks
-		}
-	}
-	return o
-}
-
 // Result is one search answer under any semantics.
 type Result struct {
 	Score float64
@@ -191,7 +143,13 @@ func (r Result) String() string {
 }
 
 // Engine searches one dataset. Construct with NewRelational or NewXML.
+// Its embedded Envelope runs every Query and carries the metrics
+// registry (Metrics: the inverted index, the execution layer and its
+// caches surface their counters there), the plan cache, the admission
+// gate and the slow-query log.
 type Engine struct {
+	Envelope
+
 	// Relational side.
 	DB     *relstore.DB
 	Schema *schemagraph.Graph
@@ -206,14 +164,8 @@ type Engine struct {
 	// networks; defaults to the tables without text columns (link tables).
 	FreeTables []string
 
-	// Metrics is the engine's metrics registry: the inverted index, the
-	// execution layer and its caches surface their counters here, and
-	// Query records per-query histograms. Populated by the constructors;
-	// serve it with obs.Serve for live inspection.
-	Metrics *obs.Registry
-
 	// Exec is the concurrent cached execution layer used by CN searches
-	// when Options.Workers > 1. Populated by NewRelational.
+	// when Request.Workers > 1. Populated by NewRelational.
 	Exec *exec.Executor
 	// Binder is the shared keyword→tuple binding layer: R^Q sets are
 	// derived from posting lists with per-term bindings and join-column
@@ -222,12 +174,6 @@ type Engine struct {
 	// and hand-assembled engines (the serial path then falls back to a
 	// one-shot index-driven binding).
 	Binder *cn.Binder
-	// Plans is the candidate-network plan cache, shared between the
-	// serial CN path and the executor: a query's compiled CN set depends
-	// only on the schema graph and the keyword→relation membership
-	// signature, so warm signatures skip enumeration entirely whichever
-	// path runs them. Populated by NewRelational; nil on XML engines.
-	Plans *plan.Cache
 	// lastExec points at an immutable snapshot of the most recent
 	// executor-backed search's stats. Each query publishes a fresh struct
 	// with one atomic pointer store, so concurrent readers always see one
@@ -237,20 +183,6 @@ type Engine struct {
 	// it through ExecStats; per-query stats are better taken from
 	// Response.Stats.Exec, which is never overwritten by later queries.
 	lastExec atomic.Pointer[exec.Stats]
-
-	// forceExec routes CN queries through the exec pool even at
-	// Workers <= 1. Shard views set it: at the top-k tie boundary the
-	// serial Global Pipeline may surface a different subset of
-	// equal-score results than the exhaustive reference order, and the
-	// cross-shard merge needs every shard in the reference order to stay
-	// byte-identical to the single-engine answer.
-	forceExec bool
-	// gate is the admission controller, nil unless Admit installed one.
-	gate *resilience.Gate
-	// slowlog is the tail-sampling slow-query log, nil unless SetSlowLog
-	// installed one. With it installed, every query runs a cheap trace
-	// and slow/errored/shed/partial queries are retained as exemplars.
-	slowlog *obs.SlowLog
 }
 
 // ExecStats returns the stats snapshot of the most recent
@@ -264,23 +196,18 @@ func (e *Engine) ExecStats() exec.Stats {
 	return exec.Stats{}
 }
 
-// Registry returns the engine's metrics registry — the method form of
-// the Metrics field, required by the Searcher seam so the sharding
-// coordinator (whose registry is unexported) can satisfy it too.
-func (e *Engine) Registry() *obs.Registry { return e.Metrics }
-
 // NewRelational builds an engine over a relational database.
 func NewRelational(db *relstore.DB) *Engine {
 	ix := invindex.FromDB(db)
 	reg := obs.NewRegistry()
 	ix.Instrument(reg, "invindex")
 	e := &Engine{
-		DB:      db,
-		Schema:  schemagraph.FromDB(db),
-		Graph:   datagraph.FromDB(db, nil),
-		Index:   ix,
-		Cleaner: clean.NewCleaner(ix),
-		Metrics: reg,
+		Envelope: NewEnvelope(reg, plan.New(plan.Options{Workers: runtime.GOMAXPROCS(0), Metrics: reg})),
+		DB:       db,
+		Schema:   schemagraph.FromDB(db),
+		Graph:    datagraph.FromDB(db, nil),
+		Index:    ix,
+		Cleaner:  clean.NewCleaner(ix),
 	}
 	for _, name := range db.TableNames() {
 		hasText := false
@@ -294,76 +221,11 @@ func NewRelational(db *relstore.DB) *Engine {
 			e.FreeTables = append(e.FreeTables, name)
 		}
 	}
-	e.Plans = plan.New(plan.Options{Workers: runtime.GOMAXPROCS(0), Metrics: reg})
 	e.Binder = cn.NewBinder(db, ix, cn.BinderOptions{Metrics: reg})
 	e.Exec = exec.New(db, ix, exec.Options{
 		FreeTables: e.FreeTables, Metrics: reg, Plans: e.Plans, Binder: e.Binder,
 	})
-	registerQuerySLO(reg)
 	return e
-}
-
-// ShardView derives a shard engine from a relational engine: the same
-// physical database, index, schema graph, cleaner, plan cache and binder
-// (all concurrency-safe and partition-agnostic), with a private executor
-// restricted to the results keep admits. The restriction is logical —
-// no data is copied or moved — and applies at the CN owner node (node
-// 0), so the shard views of a disjoint, complete partition of the
-// tuple-ID space tile the result space exactly (see internal/cn's
-// partition.go and DESIGN.md's sharding layer).
-//
-// The executor is private because the result cache's key carries no
-// partition identity; it reports into reg (one registry per shard gives
-// the coordinator per-shard attribution; nil gets a fresh private one).
-// Shard views force CN queries through the exec pool even at one
-// worker: among equal-score results at the k boundary the serial Global
-// Pipeline may keep a different subset of the ties than the exhaustive
-// reference order, and the cross-shard merge is byte-identical to the
-// single-engine answer only when every shard follows the reference
-// order.
-func (e *Engine) ShardView(keep cn.Partition, reg *obs.Registry) *Engine {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	sv := &Engine{
-		DB:         e.DB,
-		Schema:     e.Schema,
-		Graph:      e.Graph,
-		Index:      e.Index,
-		Cleaner:    e.Cleaner,
-		FreeTables: e.FreeTables,
-		Metrics:    reg,
-		Binder:     e.Binder,
-		Plans:      e.Plans,
-		forceExec:  true,
-	}
-	sv.Exec = exec.New(e.DB, e.Index, exec.Options{
-		FreeTables: e.FreeTables,
-		Metrics:    reg,
-		Plans:      e.Plans,
-		Binder:     e.Binder,
-		Partition:  keep,
-	})
-	registerQuerySLO(reg)
-	return sv
-}
-
-// DefaultSLOThreshold is the default query-latency objective the engine
-// registers burn-rate gauges for: 100ms, matching the serving layer's
-// default deadline scale. Re-register "query_latency" on the engine's
-// registry to tune it.
-const DefaultSLOThreshold = 100 * time.Millisecond
-
-// registerQuerySLO installs the engine-level latency SLO over the
-// windowed query.latency_us series: 99% of queries under
-// DefaultSLOThreshold.
-func registerQuerySLO(reg *obs.Registry) {
-	_ = reg.Windowed("query.latency_us") // create the series eagerly
-	reg.RegisterSLO("query_latency", obs.SLO{
-		Series:    "query.latency_us",
-		Threshold: float64(DefaultSLOThreshold.Microseconds()),
-		Objective: 0.99,
-	})
 }
 
 // NewXML builds an engine over an XML tree.
@@ -377,8 +239,37 @@ func NewXML(tree *xmltree.Tree) *Engine {
 	}
 	reg := obs.NewRegistry()
 	rix.Instrument(reg, "invindex")
-	registerQuerySLO(reg)
-	return &Engine{Tree: tree, XIndex: xix, Cleaner: clean.NewCleaner(rix), Metrics: reg}
+	return &Engine{Envelope: NewEnvelope(reg, nil), Tree: tree, XIndex: xix, Cleaner: clean.NewCleaner(rix)}
+}
+
+// Query runs one search request through the engine's envelope; see
+// Envelope.Run for the cancellation, deadline-partial and typed-error
+// contract. Auto semantics means SLCA on XML engines and
+// CandidateNetworks on relational ones. Engines are safe for concurrent
+// Query calls.
+func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
+	if req.Semantics == Auto && e.Tree != nil {
+		req.Semantics = SLCA
+	}
+	return e.Run(ctx, req, e)
+}
+
+// Evaluate is the engine's envelope Body: it answers one admitted,
+// tokenized query under req's semantics. Callers want Query, which runs
+// it inside the envelope; the sharding coordinator calls it directly
+// for the semantics it delegates, from inside its own envelope.
+func (e *Engine) Evaluate(ctx context.Context, terms []string, req Request, sp *Trace, st *Stats) ([]Result, error) {
+	switch req.Semantics {
+	case CandidateNetworks, SparkNetworks:
+		return e.searchCN(ctx, terms, req, sp, st)
+	case DistinctRoot:
+		return e.searchBanks(ctx, terms, req, sp)
+	case SteinerTree:
+		return e.searchSteiner(ctx, terms, req, sp)
+	case SLCA, ELCA:
+		return e.searchXML(ctx, terms, req, sp)
+	}
+	return nil, badQuery("core: unknown semantics " + req.Semantics.String())
 }
 
 // Terms tokenizes (and optionally cleans) the query.
@@ -420,14 +311,14 @@ func cnResults(rs []cn.Result) []Result {
 	return out
 }
 
-func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp *obs.Span, st *Stats) ([]Result, error) {
+func (e *Engine) searchCN(ctx context.Context, terms []string, req Request, sp *obs.Span, st *Stats) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
-	if opts.Semantics == CandidateNetworks && (opts.Workers > 1 || e.forceExec) && e.Exec != nil {
+	if req.Semantics == CandidateNetworks && req.Workers > 1 && e.Exec != nil {
 		lookupSpan(sp, terms, func(t string) int { return len(e.Exec.Postings(t)) })
 		rs, xst, err := e.Exec.TopK(ctx, exec.Query{
-			Terms: terms, K: opts.K, MaxCNSize: opts.MaxCNSize, Workers: opts.Workers,
+			Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: req.Workers,
 			Trace: sp,
 		})
 		snap := xst
@@ -457,7 +348,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp 
 	bsp.End()
 	esp := sp.Child("enumerate")
 	eopts := cn.EnumerateOptions{
-		MaxSize:       opts.MaxCNSize,
+		MaxSize:       req.MaxCNSize,
 		KeywordTables: kwTables,
 		FreeTables:    e.FreeTables,
 	}
@@ -483,7 +374,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp 
 	}
 	esp.SetAttr("cns", len(cns))
 	esp.End()
-	if opts.Semantics == SparkNetworks {
+	if req.Semantics == SparkNetworks {
 		// SPARK's skyline scorer is not context-aware; honor ctx at the
 		// stage boundary so an already-expired deadline costs nothing.
 		if err := ctx.Err(); err != nil {
@@ -491,7 +382,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp 
 		}
 		vsp := sp.Child("evaluate")
 		scorer := spark.NewScorer(ev, e.Index)
-		rs, _ := spark.TopKSkyline(scorer, cns, opts.K)
+		rs, _ := spark.TopKSkyline(scorer, cns, req.TopK)
 		vsp.SetAttr("cns", len(cns))
 		vsp.SetAttr("produced", len(rs))
 		vsp.End()
@@ -503,7 +394,7 @@ func (e *Engine) searchCN(ctx context.Context, terms []string, opts Options, sp 
 		return out, nil
 	}
 	vsp := sp.Child("evaluate")
-	rs, err := cn.TopKGlobalPipelineCtx(ctx, ev, cns, opts.K, vsp)
+	rs, err := cn.TopKGlobalPipelineCtx(ctx, ev, cns, req.TopK, vsp)
 	vsp.End()
 	if err != nil {
 		return cnResults(rs), err // certified prefix travels with the error
@@ -552,7 +443,7 @@ func (e *Engine) groupsSpan(sp *obs.Span, terms []string) ([][]datagraph.NodeID,
 	return groups, ok
 }
 
-func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchBanks(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
@@ -561,7 +452,7 @@ func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, 
 		return nil, nil
 	}
 	xsp := sp.Child("expand")
-	answers, bst, err := banks.BackwardSearchCtx(ctx, e.Graph, groups, banks.Options{K: opts.K})
+	answers, bst, err := banks.BackwardSearchCtx(ctx, e.Graph, groups, banks.Options{K: req.TopK})
 	bst.Record(xsp)
 	if err != nil {
 		xsp.SetAttr("cancelled", true)
@@ -582,7 +473,7 @@ func (e *Engine) searchBanks(ctx context.Context, terms []string, opts Options, 
 	return out, nil
 }
 
-func (e *Engine) searchSteiner(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchSteiner(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if err := e.requireRelational(); err != nil {
 		return nil, err
 	}
@@ -619,9 +510,9 @@ func (e *Engine) searchSteiner(ctx context.Context, terms []string, opts Options
 	return []Result{r}, nil
 }
 
-func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp *obs.Span) ([]Result, error) {
+func (e *Engine) searchXML(ctx context.Context, terms []string, req Request, sp *obs.Span) ([]Result, error) {
 	if e.XIndex == nil {
-		return nil, badQuery(fmt.Sprintf("core: semantics %v requires an XML engine", opts.Semantics))
+		return nil, badQuery(fmt.Sprintf("core: semantics %v requires an XML engine", req.Semantics))
 	}
 	// The serial LCA algorithms are not context-aware; honoring ctx at
 	// the stage boundary still stops an expired query before the scan.
@@ -632,12 +523,12 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp
 	var nodes []*xmltree.Node
 	var err error
 	switch {
-	case opts.Semantics == ELCA:
+	case req.Semantics == ELCA:
 		vsp.SetAttr("algorithm", "elca-stack")
 		nodes = lca.ELCAStackTraced(e.XIndex, terms, vsp)
-	case opts.Workers > 1:
+	case req.Workers > 1:
 		vsp.SetAttr("algorithm", "slca-parallel")
-		nodes, err = lca.SLCAParallelCtx(ctx, e.XIndex, terms, opts.Workers, vsp)
+		nodes, err = lca.SLCAParallelCtx(ctx, e.XIndex, terms, req.Workers, vsp)
 	default:
 		vsp.SetAttr("algorithm", "slca-ile")
 		nodes = lca.SLCATraced(e.XIndex, terms, vsp)
@@ -657,7 +548,7 @@ func (e *Engine) searchXML(ctx context.Context, terms []string, opts Options, sp
 	})
 	var out []Result
 	for i, n := range nodes {
-		if i >= opts.K {
+		if i >= req.TopK {
 			break
 		}
 		out = append(out, Result{Score: 1 / float64(1+len(xmltree.Subtree(n))), Node: n})

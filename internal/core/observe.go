@@ -1,19 +1,15 @@
 package core
 
-// This file is the observability surface of the engine: per-query Stats,
-// the span-tree Trace, the QueryObserver callback, and the context-first
-// Query entry point that instruments the whole pipeline (admit → clean →
-// lookup → enumerate/expand → evaluate → rank) on top of the engine's
-// metrics registry.
+// This file is the observability surface of a query: per-query Stats,
+// the span-tree Trace, the QueryObserver callback and the Response they
+// travel in. The envelope (envelope.go) fills them for every pipeline
+// stage (admit → clean → lookup → enumerate/expand → evaluate → rank).
 
 import (
-	"context"
-	"errors"
 	"time"
 
 	"kwsearch/internal/exec"
 	"kwsearch/internal/obs"
-	"kwsearch/internal/resilience"
 )
 
 // Trace is the span tree a traced query produces (see Request.Trace). It
@@ -36,7 +32,8 @@ type Stats struct {
 	// Elapsed is the wall time of the whole pipeline.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Exec holds the worker-pool execution stats when the query ran
-	// through internal/exec (CandidateNetworks with Workers > 1).
+	// through internal/exec: CandidateNetworks with Workers > 1, or any
+	// coordinated CN query (the shards' stats, merged).
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// PlanSignature is the plan-cache key the query compiled under
 	// (namespace + schema fingerprint + keyword→relation membership
@@ -52,7 +49,7 @@ type Stats struct {
 	// the slowest shard finishing and the merged response being ready.
 	// Zero on single-engine queries.
 	Merge time.Duration `json:"merge_ns,omitempty"`
-	// Metrics is the delta of the engine's registry over this query:
+	// Metrics is the delta of the searcher's registry over this query:
 	// every counter incremented and histogram observed while it ran.
 	Metrics obs.Snapshot `json:"metrics"`
 }
@@ -74,8 +71,7 @@ type ShardStat struct {
 	Partial bool `json:"partial,omitempty"`
 	// Elapsed is this shard's wall time for its sub-query.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Exec is this shard's executor stats, when its query ran through
-	// the pool (always, for shard views).
+	// Exec is this shard's executor stats.
 	Exec *exec.Stats `json:"exec,omitempty"`
 }
 
@@ -98,246 +94,4 @@ type Response struct {
 	Stats Stats
 	// Trace is the root span of the pipeline, nil unless Request.Trace.
 	Trace *Trace
-}
-
-// Query runs one search request under ctx. Cancellation and deadlines
-// propagate into every evaluation stage (CN enumeration, the exec worker
-// pool, the serial pipelines, graph expansion, SLCA ranges):
-//
-//   - ctx cancelled → the error is returned (typically context.Canceled)
-//     and any partial work is discarded;
-//   - deadline expired mid-evaluation (ctx's or Request.Deadline, the
-//     earlier wins) → the best answer certified so far is returned with
-//     Response.Partial set and a nil error;
-//   - admission control installed via Admit sheds with ErrOverloaded or
-//     fails queued queries whose deadline lapses with
-//     ErrDeadlineExceeded;
-//   - malformed requests fail with errors matching ErrBadQuery.
-//
-// Engines are safe for concurrent Query calls.
-func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
-	opts := req.options(e.Tree != nil)
-	if req.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-		defer cancel()
-	}
-	start := time.Now()
-	lg := obs.FromContext(ctx)
-
-	// Tail sampling: with a slow-query log installed every query runs a
-	// cheap always-on trace, so the span tree already exists if the query
-	// turns out to be worth retaining. Response.Trace still honors
-	// req.Trace alone — sampling never changes what the caller sees.
-	sampled := e.slowlog != nil
-	var root *obs.Span
-	if opts.Trace || sampled {
-		root = obs.StartSpan("query")
-		root.SetAttr("semantics", opts.Semantics.String())
-	}
-
-	if err := resilience.Inject(ctx, resilience.StageAdmit); err != nil {
-		terr := resilience.AsTyped(err)
-		root.End()
-		e.captureRejected(ctx, req, root, terr, time.Since(start), lg)
-		return nil, terr
-	}
-	if e.gate != nil {
-		// The admit stage is part of the trace so shed queries still
-		// produce a well-formed tree (root → admit) for the slowlog.
-		asp := root.Child("admit")
-		release, err := e.gate.Acquire(ctx)
-		asp.End()
-		if err != nil {
-			asp.SetAttr("rejected", true)
-			if e.Metrics != nil {
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					e.Metrics.Counter("query.shed").Inc()
-				case errors.Is(err, ErrDeadlineExceeded):
-					e.Metrics.Counter("query.deadline").Inc()
-				}
-			}
-			root.End()
-			e.captureRejected(ctx, req, root, err, time.Since(start), lg)
-			return nil, err
-		}
-		defer release()
-	}
-
-	var before obs.Snapshot
-	if e.Metrics != nil {
-		before = e.Metrics.Snapshot()
-	}
-
-	csp := root.Child("clean")
-	terms := e.Terms(req.Query, opts.Clean)
-	csp.SetAttr("terms", len(terms))
-	csp.SetAttr("cleaned", opts.Clean)
-	csp.End()
-	root.SetAttr("keywords", len(terms))
-	if len(terms) == 0 {
-		root.End()
-		err := badQuery("core: empty query")
-		e.capture(ctx, req, root, nil, obs.OutcomeError, err.Error(), time.Since(start), lg)
-		return nil, err
-	}
-
-	st := Stats{Semantics: opts.Semantics, Terms: terms}
-	var results []Result
-	var err error
-	switch opts.Semantics {
-	case CandidateNetworks, SparkNetworks:
-		results, err = e.searchCN(ctx, terms, opts, root, &st)
-	case DistinctRoot:
-		results, err = e.searchBanks(ctx, terms, opts, root)
-	case SteinerTree:
-		results, err = e.searchSteiner(ctx, terms, opts, root)
-	case SLCA, ELCA:
-		results, err = e.searchXML(ctx, terms, opts, root)
-	default:
-		err = badQuery("core: unknown semantics " + opts.Semantics.String())
-	}
-	partial := false
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			// The deadline ran out mid-evaluation: the stages handed back
-			// their certified/best-effort partials in results. Serve them.
-			partial = true
-			err = nil
-		} else {
-			root.SetAttr("ctx_done", true)
-			root.End()
-			st.Elapsed = time.Since(start)
-			e.capture(ctx, req, root, &st, obs.OutcomeError, err.Error(), st.Elapsed, lg)
-			return nil, err
-		}
-	}
-
-	st.Results = len(results)
-	st.Partial = partial
-	st.Elapsed = time.Since(start)
-	root.SetAttr("results", len(results))
-	if partial {
-		root.SetAttr("ctx_done", true)
-		root.SetAttr("partial", true)
-	}
-	root.End()
-	if e.Metrics != nil {
-		us := float64(st.Elapsed.Microseconds())
-		e.Metrics.Histogram("query.elapsed_us").Observe(us)
-		e.Metrics.Windowed("query.latency_us").Observe(us)
-		if partial {
-			e.Metrics.Counter("query.deadline").Inc()
-			e.Metrics.Counter("query.partial").Inc()
-		}
-		st.Metrics = e.Metrics.Snapshot().Sub(before)
-	}
-	if outcome, ok := e.slowlog.Classify(st.Elapsed, false, partial); ok {
-		e.capture(ctx, req, root, &st, outcome, "", st.Elapsed, lg)
-	}
-	if lg.Enabled(obs.LevelDebug) {
-		lg.Debug("query executed",
-			obs.F("keywords_hash", obs.KeywordsHash(req.Query)),
-			obs.F("semantics", st.Semantics.String()),
-			obs.F("results", st.Results),
-			obs.F("partial", partial),
-			obs.F("plan_signature", st.PlanSignature),
-			obs.F("elapsed", st.Elapsed))
-	}
-	var trace *Trace
-	if opts.Trace {
-		trace = root
-	}
-	resp := &Response{Results: results, Partial: partial, Stats: st, Trace: trace}
-	if opts.Observer != nil {
-		opts.Observer(resp.Stats, resp.Trace)
-	}
-	return resp, nil
-}
-
-// SetSlowLog installs (or, with nil, removes) the tail-sampling
-// slow-query log: every query runs a cheap trace, and slow, errored,
-// shed, partial or deadline-expired queries are retained as exemplars
-// (span tree + Stats + plan signature). The log's capture counters land
-// in Engine.Metrics. Call during setup, before concurrent queries; the
-// swap is not synchronized.
-func (e *Engine) SetSlowLog(l *obs.SlowLog) {
-	e.slowlog = l
-	if l != nil && e.Metrics != nil {
-		l.Instrument(e.Metrics)
-	}
-}
-
-// SlowLog returns the engine's slow-query log, nil unless SetSlowLog
-// installed one.
-func (e *Engine) SlowLog() *obs.SlowLog { return e.slowlog }
-
-// planNamespace is the tenant namespace exemplars and log lines carry.
-func (e *Engine) planNamespace() string {
-	if e.Plans == nil {
-		return ""
-	}
-	return e.Plans.Namespace()
-}
-
-// rejectOutcome classifies an admission failure for the slowlog.
-func rejectOutcome(err error) obs.Outcome {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return obs.OutcomeShed
-	case errors.Is(err, ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return obs.OutcomeDeadline
-	}
-	return obs.OutcomeError
-}
-
-// captureRejected retains an exemplar for a query rejected before
-// evaluation (shed by the gate, or its deadline lapsed while queued).
-func (e *Engine) captureRejected(ctx context.Context, req Request, root *obs.Span, err error, elapsed time.Duration, lg *obs.Logger) {
-	e.capture(ctx, req, root, nil, rejectOutcome(err), err.Error(), elapsed, lg)
-}
-
-// capture retains one query exemplar in the slow-query log and emits
-// the corresponding structured warn line. No-op without a slowlog.
-func (e *Engine) capture(ctx context.Context, req Request, root *obs.Span, st *Stats, outcome obs.Outcome, errText string, elapsed time.Duration, lg *obs.Logger) {
-	if e.slowlog == nil {
-		return
-	}
-	entry := obs.Entry{
-		RequestID:    obs.RequestIDFrom(ctx),
-		Namespace:    e.planNamespace(),
-		KeywordsHash: obs.KeywordsHash(req.Query),
-		Outcome:      outcome,
-		Duration:     elapsed,
-		Err:          errText,
-		Trace:        root,
-	}
-	if st != nil {
-		entry.Keywords = st.Terms
-		entry.PlanSignature = st.PlanSignature
-		entry.Stats = *st
-	}
-	seq := e.slowlog.Record(entry)
-	if lg.Enabled(obs.LevelWarn) {
-		fields := []obs.Field{
-			obs.F("slowlog_seq", seq),
-			obs.F("outcome", string(outcome)),
-			obs.F("keywords_hash", entry.KeywordsHash),
-			obs.F("elapsed", elapsed),
-		}
-		if entry.RequestID != "" {
-			fields = append(fields, obs.F("request_id", entry.RequestID))
-		}
-		if entry.Namespace != "" {
-			fields = append(fields, obs.F("namespace", entry.Namespace))
-		}
-		if entry.PlanSignature != "" {
-			fields = append(fields, obs.F("plan_signature", entry.PlanSignature))
-		}
-		if errText != "" {
-			fields = append(fields, obs.F("error", errText))
-		}
-		lg.Warn("query captured in slowlog", fields...)
-	}
 }

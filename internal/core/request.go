@@ -1,10 +1,8 @@
 package core
 
 // This file is the context-first request surface of the engine: the
-// Request type consolidating the legacy Options knobs with per-query
-// deadlines, the typed sentinel errors callers branch on with errors.Is,
-// and per-engine admission control (Admit) backed by
-// internal/resilience.
+// Request type carrying every per-query knob, and the typed sentinel
+// errors callers branch on with errors.Is.
 
 import (
 	"errors"
@@ -20,7 +18,8 @@ import (
 // context error agree on what happened.
 var (
 	// ErrBadQuery marks queries the engine cannot execute: empty after
-	// normalization, or a semantics the engine's data model lacks.
+	// normalization, CN or SPARK queries with more than cn.MaxTerms
+	// terms, or a semantics the engine's data model lacks.
 	ErrBadQuery = errors.New("core: bad query")
 	// ErrOverloaded is returned when admission control sheds the query
 	// (the gate is full and the bounded queue has no room).
@@ -54,7 +53,13 @@ type Request struct {
 	// set, rather than an error.
 	Deadline time.Duration
 	// Workers sets the worker-pool size for candidate-network and SLCA
-	// evaluation; see Options.Workers for the serial/parallel semantics.
+	// evaluation. 0 or 1 keeps the serial paths; >1 routes CN searches
+	// through the internal/exec cached executor and SLCA through the
+	// range-split parallel algorithm. SLCA answers are identical either
+	// way. CN scores are too, but among equal-score results at the k
+	// boundary the executor matches the exhaustive-evaluation reference
+	// order, while the serial Global Pipeline's early termination may
+	// surface a different subset of the tied results.
 	Workers int
 	// Trace enables per-query span collection (Response.Trace).
 	Trace bool
@@ -63,41 +68,21 @@ type Request struct {
 	Observer QueryObserver
 }
 
-// options lowers the request onto the legacy Options shape the search
-// stages still consume internally, applying defaults.
-func (r Request) options(xml bool) Options {
-	return Options{
-		K:         r.TopK,
-		Semantics: r.Semantics,
-		MaxCNSize: r.MaxCNSize,
-		Clean:     r.Clean,
-		Trace:     r.Trace,
-		Observer:  r.Observer,
-		Workers:   r.Workers,
-	}.withDefaults(xml)
-}
-
-// Admit installs admission control on the engine: at most limit queries
-// run concurrently, at most maxQueue more wait for a slot (shedding with
-// ErrOverloaded beyond that), and a queued query that outlives its
-// deadline fails with ErrDeadlineExceeded. The gate's queue-depth gauge,
-// wait histogram and outcome counters land in Engine.Metrics under
-// "admission.*". A non-positive limit removes the gate.
-func (e *Engine) Admit(limit, maxQueue int) {
-	if limit <= 0 {
-		e.gate = nil
-		return
+// withDefaults fills the zero-valued knobs: TopK 10, MaxCNSize 5, and
+// Auto semantics resolved to CandidateNetworks (XML engines resolve Auto
+// to SLCA before their envelope runs).
+func (r Request) withDefaults() Request {
+	if r.TopK <= 0 {
+		r.TopK = 10
 	}
-	g := resilience.NewGate(limit, maxQueue)
-	if e.Metrics != nil {
-		g.Instrument(e.Metrics)
+	if r.MaxCNSize <= 0 {
+		r.MaxCNSize = 5
 	}
-	e.gate = g
+	if r.Semantics == Auto {
+		r.Semantics = CandidateNetworks
+	}
+	return r
 }
-
-// Gate returns the engine's admission gate, nil unless Admit installed
-// one.
-func (e *Engine) Gate() *resilience.Gate { return e.gate }
 
 // SetPlanNamespace re-namespaces the engine's plan cache: every plan
 // key the engine (and its executor) derives from here on is prefixed

@@ -192,3 +192,34 @@ func TestBadQueryTyped(t *testing.T) {
 		t.Errorf("semantics mismatch err = %v, want ErrBadQuery", err)
 	}
 }
+
+// termQuery is the term-limit probe: n-1 × "keyword" + "sigmod" on
+// DBLP. Up to 32 terms the answer needs the conference join; past that
+// a uint32 term mask would drop "sigmod"'s bit.
+func termQuery(n int) string {
+	return strings.Repeat("keyword ", n-1) + "sigmod"
+}
+
+// TestQueryTermLimit: a CN or SPARK query with more terms than a term
+// mask holds fails with ErrBadQuery instead of answering wrongly, while
+// 31 and 32 terms still answer — through the serial and the pool path.
+func TestQueryTermLimit(t *testing.T) {
+	e := NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig()))
+	for _, sem := range []Semantics{CandidateNetworks, SparkNetworks} {
+		_, err := e.Query(context.Background(), Request{Query: termQuery(33), Semantics: sem})
+		if !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%v, 33 terms: err = %v, want ErrBadQuery", sem, err)
+		}
+	}
+	for _, n := range []int{31, 32} {
+		for _, workers := range []int{1, 2} {
+			resp, err := e.Query(context.Background(), Request{Query: termQuery(n), MaxCNSize: 3, Workers: workers})
+			if err != nil {
+				t.Fatalf("%d terms, workers=%d: %v", n, workers, err)
+			}
+			if len(resp.Results) == 0 || len(resp.Results[0].Tuples) != 2 {
+				t.Errorf("%d terms, workers=%d: top answer %v, want a conference ⋈ paper join", n, workers, resp.Results)
+			}
+		}
+	}
+}

@@ -10,12 +10,14 @@ import (
 // Searcher is the serving-layer seam over one logical engine: the
 // context-first query contract plus the operational knobs the HTTP
 // server, the load generator and the CLIs wire up. *Engine implements
-// it directly; *shard.Coordinator implements it over N shard engines,
-// so every transport runs unchanged against either.
+// it directly; *shard.Coordinator implements it over N partitioned
+// executors, so every transport runs unchanged against either. Both
+// embed an Envelope, which supplies every method but Query and
+// SetPlanNamespace.
 type Searcher interface {
-	// Query runs one search request under ctx; see Engine.Query for the
+	// Query runs one search request under ctx; see Envelope.Run for the
 	// cancellation, deadline-partial and typed-error contract every
-	// implementation must honor.
+	// implementation honors by running its queries through it.
 	Query(ctx context.Context, req Request) (*Response, error)
 	// Registry returns the searcher's metrics registry (never nil for
 	// constructor-built searchers).

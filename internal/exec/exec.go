@@ -73,12 +73,12 @@ type Options struct {
 	// branch per counter event.
 	Metrics *obs.Registry
 	// Partition, when non-nil, restricts every evaluation to the results
-	// whose owner tuple (CN node 0's binding) it admits — the shard
-	// engines of internal/shard each run one executor with their slice of
-	// the tuple-ID space here. Partitioned executors must not share a
-	// result cache with differently-partitioned ones (the result-cache
-	// key carries no partition identity), which is why shard engines get
-	// private executors over the shared binder and plan cache.
+	// whose owner tuple (CN node 0's binding) it admits — the
+	// internal/shard coordinator runs one executor per shard with its
+	// slice of the tuple-ID space here. Partitioned executors must not
+	// share a result cache with differently-partitioned ones (the
+	// result-cache key carries no partition identity), which is why each
+	// shard gets a private executor over the shared binder and plan cache.
 	Partition cn.Partition
 }
 

@@ -77,26 +77,6 @@ func (t *sharedTopK) snapshot() []cn.Result {
 	return append([]cn.Result(nil), t.rs...)
 }
 
-// dominates reports kth > bound by a genuine margin (epsilon-safe): only
-// then is dropping the CN provably harmless, ties included.
-func dominates(kth, bound float64) bool {
-	return kth > bound && !fmath.Eq(kth, bound)
-}
-
-// certifiedPrefix keeps the leading results whose scores strictly
-// dominate bound — the prefix of the full top-k an interrupted pool run
-// can still prove correct: every job abandoned by cancellation had a
-// bound at or below it, so no unevaluated CN can displace those entries.
-// Ties with bound are dropped (an abandoned CN could produce an
-// equal-score result the deterministic total order ranks ahead).
-func certifiedPrefix(rs []cn.Result, bound float64) []cn.Result {
-	i := 0
-	for i < len(rs) && dominates(rs[i].Score, bound) {
-		i++
-	}
-	return rs[:i]
-}
-
 // runPool executes the assigned jobs across one goroutine per worker.
 // Each worker processes its jobs in descending score-bound order,
 // maintains a materialized-prefix table keyed by cn.PrefixKey for
@@ -176,7 +156,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 			return
 		}
 		for w := range marks {
-			if !dominates(kth, math.Float64frombits(marks[w].Load())) {
+			if !cn.Dominates(kth, math.Float64frombits(marks[w].Load())) {
 				return
 			}
 		}
@@ -219,7 +199,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 					}
 					break
 				}
-				if dominates(top.kth(), bounds[w][ji]) {
+				if cn.Dominates(top.kth(), bounds[w][ji]) {
 					st.Skipped++
 				} else {
 					t0 := time.Now()
@@ -264,7 +244,7 @@ func (x *Executor) runPool(parent context.Context, ev *cn.Evaluator, a parallel.
 				bound = b
 			}
 		}
-		return certifiedPrefix(top.snapshot(), bound), perWorker, bound, err
+		return cn.CertifiedPrefix(top.snapshot(), bound), perWorker, bound, err
 	}
 	return top.snapshot(), perWorker, math.Inf(-1), nil
 }

@@ -380,60 +380,78 @@ func SelfCheck(ctx context.Context, baseURL string, e core.Searcher, cfg SelfChe
 // burstResult is the outcome of one overload burst.
 type burstResult struct{ queries, oks, sheds int }
 
-// overloadBurst fires a simultaneous burst of heavy queries at ≥2× the
-// gate's capacity and requires at least one 429 (every response still
-// arriving — no hung connections). Scheduling can in principle serialize
-// a burst, so it retries a few times before calling the absence of
-// sheds a failure.
+// overloadBurst holds every slot of the searcher's gate in process and
+// fires a simultaneous burst at ≥2× the gate's capacity. With no slot
+// free, at most MaxQueue queries can queue, so the other n - MaxQueue
+// must shed with 429 however fast queries run or however loaded the
+// machine is. Once that many answers are back the slots are released
+// and the queued queries complete. It requires at least one 429, no
+// status other than 200 and 429, and every response arriving — no hung
+// connections.
 func overloadBurst(ctx context.Context, client *http.Client, baseURL string, e core.Searcher) (burstResult, error) {
 	gate := e.Gate()
 	if gate == nil {
 		return burstResult{}, fmt.Errorf("overload probe: engine has no admission gate; install one with Admit or set SkipOverloadProbe")
 	}
-	var out burstResult
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	var held []func()
+	release := func() {
+		for _, r := range held {
+			r()
 		}
-		// A per-attempt K keeps the burst query out of the result cache,
-		// so every attempt pays full evaluation and overlaps for real.
-		heavy := QueryRequest{Query: "keyword search", TopK: 10000 - attempt, Workers: 2}
-		n := 2*(gate.Limit()+gate.MaxQueue()) + 8 // ≥2× capacity
-		statuses := make([]int, n)
-		errs := make([]error, n)
-		startGun := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				//lint:ignore ctxdrop start-gun barrier: closed unconditionally right after the spawn loop, never blocks past it
-				<-startGun
-				resp, _, err := postQuery(ctx, client, baseURL, heavy)
-				statuses[i], errs[i] = resp.Status, err
-			}(i)
+		held = nil
+	}
+	defer release()
+	for len(held) < gate.Limit() {
+		r, err := gate.Acquire(ctx)
+		if err != nil {
+			return burstResult{}, fmt.Errorf("overload probe: holding gate slot %d: %w", len(held), err)
 		}
-		close(startGun)
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			out.queries++
-			if errs[i] != nil {
-				return out, fmt.Errorf("overload probe: query %d: %w", i, errs[i])
-			}
-			switch statuses[i] {
-			case http.StatusOK:
-				out.oks++
-			case http.StatusTooManyRequests:
-				out.sheds++
-			default:
-				return out, fmt.Errorf("overload probe: query %d: status %d", i, statuses[i])
-			}
-		}
-		if out.sheds > 0 {
-			return out, nil
+		held = append(held, r)
+	}
+
+	n := 2*(gate.Limit()+gate.MaxQueue()) + 8 // ≥2× capacity
+	q := QueryRequest{Query: "keyword search"}
+	statuses := make([]int, n)
+	errs := make([]error, n)
+	answered := make(chan struct{}, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _, err := postQuery(ctx, client, baseURL, q)
+			statuses[i], errs[i] = resp.Status, err
+			answered <- struct{}{}
+		}(i)
+	}
+	// Every request ends within the client timeout, so this wait does too.
+	for i := 0; i < n-gate.MaxQueue(); i++ {
+		select {
+		case <-answered:
+		case <-ctx.Done():
 		}
 	}
-	return out, fmt.Errorf("overload probe: no 429 across %d queries at ≥2x gate capacity", out.queries)
+	release()
+	wg.Wait()
+
+	out := burstResult{queries: n}
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			return out, fmt.Errorf("overload probe: query %d: %w", i, errs[i])
+		}
+		switch statuses[i] {
+		case http.StatusOK:
+			out.oks++
+		case http.StatusTooManyRequests:
+			out.sheds++
+		default:
+			return out, fmt.Errorf("overload probe: query %d: status %d", i, statuses[i])
+		}
+	}
+	if out.sheds == 0 {
+		return out, fmt.Errorf("overload probe: no 429 across %d queries with every gate slot held", n)
+	}
+	return out, nil
 }
 
 // workloadKey identifies a workload query for the reference map.

@@ -126,6 +126,21 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// TestTooManyTermsIs400: a CN query longer than a term mask holds is a
+// bad request (400), not a silently wrong answer; 32 terms still answer.
+func TestTooManyTermsIs400(t *testing.T) {
+	_, ts := newTestServer(t, nil, Options{})
+	query := func(n int) string { return strings.Repeat("keyword ", n-1) + "sigmod" }
+	resp, httpResp := post(t, ts.URL, QueryRequest{Query: query(33)})
+	if httpResp.StatusCode != http.StatusBadRequest || resp.Code != CodeBadQuery {
+		t.Errorf("33 terms: status %d code %q, want 400 %q (%s)", httpResp.StatusCode, resp.Code, CodeBadQuery, resp.Error)
+	}
+	resp, httpResp = post(t, ts.URL, QueryRequest{Query: query(32), MaxCNSize: 3})
+	if httpResp.StatusCode != http.StatusOK || len(resp.Results) == 0 {
+		t.Errorf("32 terms: status %d with %d results, want 200 with answers (%s)", httpResp.StatusCode, len(resp.Results), resp.Error)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, nil, Options{})
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -11,111 +11,65 @@ import (
 	"kwsearch/internal/cn"
 	"kwsearch/internal/core"
 	"kwsearch/internal/exec"
-	"kwsearch/internal/fmath"
 	"kwsearch/internal/obs"
-	"kwsearch/internal/resilience"
 )
 
 // shardOut is one shard's sub-query outcome.
 type shardOut struct {
-	resp    *core.Response
+	results []cn.Result
+	stats   exec.Stats
 	err     error
 	elapsed time.Duration
 }
 
-// Query runs one search request over the shard fleet. Candidate-network
-// queries scatter to every shard (each evaluating only the results it
-// owns) and gather through a k-way merge in the deterministic cn.Less
-// order; every other semantics delegates to the unpartitioned base
-// engine, whose scoring has no sound per-shard decomposition. The
-// contract is core.Engine.Query's exactly: deadlines yield certified
-// partial responses with nil errors, admission sheds with
-// ErrOverloaded, and the merged answer is byte-identical to the
-// single-engine answer (order, score bits, partial prefixes) — the
-// package tests assert this against both the 1-shard coordinator and
-// the serial oracle.
+// partial reports that the shard's sub-query ran out of deadline: its
+// results are a certified prefix of its local top-k.
+func (o shardOut) partial() bool { return errors.Is(o.err, context.DeadlineExceeded) }
+
+// Query runs one search request over the shard fleet inside the
+// coordinator's envelope; the contract is core.Envelope.Run's exactly:
+// deadlines yield certified partial responses with nil errors,
+// admission sheds with ErrOverloaded, and the merged answer is
+// byte-identical to the single-engine answer (order, score bits,
+// partial prefixes) — the package tests assert this against both the
+// 1-shard coordinator and the serial oracle.
 func (c *Coordinator) Query(ctx context.Context, req core.Request) (*core.Response, error) {
-	sem := req.Semantics
-	if sem == core.Auto {
-		sem = core.CandidateNetworks
+	return c.Run(ctx, req, c)
+}
+
+// Terms tokenizes (and optionally cleans) the query with the base
+// engine's tokenizer and cleaner, once per logical query.
+func (c *Coordinator) Terms(query string, clean bool) []string {
+	return c.base.Terms(query, clean)
+}
+
+// Evaluate is the coordinator's envelope Body. Candidate-network
+// queries scatter to every shard's executor (each evaluating only the
+// results it owns) and gather through a k-way merge in the
+// deterministic cn.Less order; every other semantics is evaluated by
+// the unpartitioned base engine, whose scoring has no sound per-shard
+// decomposition.
+func (c *Coordinator) Evaluate(ctx context.Context, terms []string, req core.Request, sp *core.Trace, st *core.Stats) ([]core.Result, error) {
+	if req.Semantics != core.CandidateNetworks {
+		return c.base.Evaluate(ctx, terms, req, sp, st)
 	}
-	if sem != core.CandidateNetworks {
-		return c.base.Query(ctx, req)
+	n := len(c.execs)
+	sp.SetAttr("shards", n)
+	q := exec.Query{Terms: terms, K: req.TopK, MaxCNSize: req.MaxCNSize, Workers: req.Workers}
+	if q.Workers <= 0 {
+		q.Workers = c.workers
 	}
 
-	if req.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-		defer cancel()
-	}
-	start := time.Now()
-	lg := obs.FromContext(ctx)
-
-	// Tail sampling mirrors core.Engine.Query: with a slowlog installed
-	// every coordinated query runs a cheap trace so slow/partial/errored
-	// ones can be retained with their per-shard span breakdown.
-	sampled := c.slowlog != nil
-	var root *obs.Span
-	if req.Trace || sampled {
-		root = obs.StartSpan("query")
-		root.SetAttr("semantics", sem.String())
-		root.SetAttr("shards", len(c.shards))
-	}
-
-	if err := resilience.Inject(ctx, resilience.StageAdmit); err != nil {
-		terr := resilience.AsTyped(err)
-		root.End()
-		c.capture(ctx, req, root, nil, rejectOutcome(terr), terr.Error(), time.Since(start), lg)
-		return nil, terr
-	}
-	if c.gate != nil {
-		asp := root.Child("admit")
-		release, err := c.gate.Acquire(ctx)
-		asp.End()
-		if err != nil {
-			asp.SetAttr("rejected", true)
-			if c.metrics != nil {
-				switch {
-				case errors.Is(err, core.ErrOverloaded):
-					c.metrics.Counter("query.shed").Inc()
-				case errors.Is(err, core.ErrDeadlineExceeded):
-					c.metrics.Counter("query.deadline").Inc()
-				}
-			}
-			root.End()
-			c.capture(ctx, req, root, nil, rejectOutcome(err), err.Error(), time.Since(start), lg)
-			return nil, err
-		}
-		defer release()
-	}
-
-	var before obs.Snapshot
-	if c.metrics != nil {
-		before = c.metrics.Snapshot()
-	}
-
-	// Scatter. Sub-requests inherit the (possibly deadline-bounded)
-	// coordinator context rather than re-applying Deadline, and strip
-	// the per-query observability knobs: the coordinator owns the trace,
-	// the observer callback and the slowlog for the logical query.
-	sub := req
-	sub.Semantics = core.CandidateNetworks
-	sub.Deadline = 0
-	sub.Trace = false
-	sub.Observer = nil
-	if sub.Workers <= 0 {
-		sub.Workers = c.workers
-	}
-	outs := make([]shardOut, len(c.shards))
-	spans := make([]*obs.Span, len(c.shards))
-	for s := range c.shards {
+	outs := make([]shardOut, n)
+	spans := make([]*obs.Span, n)
+	for s := range spans {
 		// Children created serially before launch so the span tree's
 		// shape is deterministic (the spans themselves are written only
 		// by their own goroutine).
-		spans[s] = root.Child("shard-" + strconv.Itoa(s))
+		spans[s] = sp.Child("shard-" + strconv.Itoa(s))
 	}
 	var wg sync.WaitGroup
-	for s := range c.shards {
+	for s := range c.execs {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -124,130 +78,52 @@ func (c *Coordinator) Query(ctx context.Context, req core.Request) (*core.Respon
 				sctx = c.shardCtx(sctx, s)
 			}
 			t0 := time.Now()
-			resp, err := c.shards[s].Query(sctx, sub)
-			outs[s] = shardOut{resp: resp, err: err, elapsed: time.Since(t0)}
-			sp := spans[s]
-			if resp != nil {
-				sp.SetAttr("results", len(resp.Results))
-				sp.SetAttr("partial", resp.Partial)
+			rs, xst, err := c.execs[s].TopK(sctx, q)
+			o := shardOut{results: rs, stats: xst, err: err, elapsed: time.Since(t0)}
+			outs[s] = o
+			ssp := spans[s]
+			ssp.SetAttr("results", len(rs))
+			ssp.SetAttr("partial", o.partial())
+			if err != nil && !o.partial() {
+				ssp.SetAttr("error", err.Error())
 			}
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
+			ssp.End()
 		}(s)
 	}
 	wg.Wait()
 	mergeStart := time.Now()
 
-	// A shard whose sub-query died on the logical deadline — expired
-	// while queued at the shard's own gate, or before the fan-out
-	// goroutine was even scheduled — is the scatter-gather analogue of a
-	// mid-evaluation expiry: the coordinator already admitted the query,
-	// so the contract ("deadline expired mid-evaluation yields a partial
-	// response, nil error") applies to the logical query even though the
-	// individual shard classified its expiry as pre-admission. Absorb
-	// such shards as vacuously partial: no results and no certificate,
-	// which gather turns into an empty certified prefix — never a wrong
-	// answer. Cancellation (context.Canceled) is deliberately not
-	// absorbed; a cancelled caller gets the error, not a partial.
-	for s := range outs {
-		if err := outs[s].err; err != nil && errors.Is(err, context.DeadlineExceeded) {
-			outs[s] = shardOut{
-				resp:    &core.Response{Partial: true, Stats: core.Stats{Semantics: sem, Partial: true}},
-				elapsed: outs[s].elapsed,
-			}
+	// A shard that ran out of deadline is partial, wherever it stopped;
+	// gather certifies the merge against it. Any other shard error fails
+	// the logical query: cancellation or an injected fault has no sound
+	// partial answer at the coordinator (the failed shard certified
+	// nothing).
+	for _, o := range outs {
+		if o.err != nil && !o.partial() {
+			return nil, o.err
 		}
 	}
 
-	// Any remaining shard error fails the logical query: shard engines
-	// already convert mid-evaluation deadlines into partial responses and
-	// the loop above absorbs deadline-at-admission, so what remains is
-	// cancellation, bad queries (identical on every shard) or injected
-	// faults — none of which have a sound partial answer at the
-	// coordinator (the failed shard certified nothing).
-	for s := range outs {
-		if outs[s].err != nil {
-			err := outs[s].err
-			root.SetAttr("ctx_done", true)
-			root.End()
-			st := &core.Stats{Semantics: sem, Elapsed: time.Since(start)}
-			c.capture(ctx, req, root, st, obs.OutcomeError, err.Error(), st.Elapsed, lg)
-			return nil, err
-		}
+	merged, shardStats, partial := gather(outs, req.TopK)
+	st.Merge = time.Since(mergeStart)
+	st.Shards = shardStats
+	xsts := make([]exec.Stats, n)
+	for s, o := range outs {
+		xsts[s] = o.stats
 	}
+	mx := exec.MergeStats(xsts)
+	st.Exec = &mx
+	st.PlanSignature = mx.PlanKey
+	sp.SetAttr("merge_us", st.Merge.Microseconds())
 
-	merged, shardStats, partial := c.gather(outs, req)
-	mergeDur := time.Since(mergeStart)
-
-	// Terms come from any shard that got far enough to tokenize (a
-	// deadline-absorbed shard's synthetic response carries none).
-	terms := outs[0].resp.Stats.Terms
-	for s := range outs {
-		if len(outs[s].resp.Stats.Terms) > 0 {
-			terms = outs[s].resp.Stats.Terms
-			break
-		}
+	out := make([]core.Result, len(merged))
+	for i, r := range merged {
+		out[i] = core.Result{Score: r.Score, Tuples: r.Tuples, CN: r.CN}
 	}
-	st := core.Stats{
-		Semantics: sem,
-		Terms:     terms,
-		Results:   len(merged),
-		Partial:   partial,
-		Elapsed:   time.Since(start),
-		Merge:     mergeDur,
-		Shards:    shardStats,
-	}
-	xsts := make([]exec.Stats, 0, len(outs))
-	for s := range outs {
-		if x := outs[s].resp.Stats.Exec; x != nil {
-			xsts = append(xsts, *x)
-		}
-	}
-	if len(xsts) > 0 {
-		mx := exec.MergeStats(xsts)
-		st.Exec = &mx
-		st.PlanSignature = mx.PlanKey
-	}
-
-	root.SetAttr("results", len(merged))
-	root.SetAttr("merge_us", mergeDur.Microseconds())
 	if partial {
-		root.SetAttr("ctx_done", true)
-		root.SetAttr("partial", true)
+		return out, context.DeadlineExceeded
 	}
-	root.End()
-	if c.metrics != nil {
-		us := float64(st.Elapsed.Microseconds())
-		c.metrics.Histogram("query.elapsed_us").Observe(us)
-		c.metrics.Windowed("query.latency_us").Observe(us)
-		if partial {
-			c.metrics.Counter("query.deadline").Inc()
-			c.metrics.Counter("query.partial").Inc()
-		}
-		st.Metrics = c.metrics.Snapshot().Sub(before)
-	}
-	if outcome, ok := c.slowlog.Classify(st.Elapsed, false, partial); ok {
-		c.capture(ctx, req, root, &st, outcome, "", st.Elapsed, lg)
-	}
-	if lg.Enabled(obs.LevelDebug) {
-		lg.Debug("sharded query executed",
-			obs.F("keywords_hash", obs.KeywordsHash(req.Query)),
-			obs.F("shards", len(c.shards)),
-			obs.F("results", st.Results),
-			obs.F("partial", partial),
-			obs.F("merge", mergeDur),
-			obs.F("elapsed", st.Elapsed))
-	}
-	var trace *core.Trace
-	if req.Trace {
-		trace = root
-	}
-	resp := &core.Response{Results: merged, Partial: partial, Stats: st, Trace: trace}
-	if req.Observer != nil {
-		req.Observer(resp.Stats, resp.Trace)
-	}
-	return resp, nil
+	return out, nil
 }
 
 // gather k-way-merges the shards' rank-ordered result lists into the
@@ -271,134 +147,55 @@ func (c *Coordinator) Query(ctx context.Context, req core.Request) (*core.Respon
 // complete shard has unevaluated work, so cutting the merged list where
 // scores stop strictly dominating the maximum such bound yields a
 // provable prefix of the full global top-k. A shard interrupted before
-// its pool could certify anything (plan compilation or prewarm hit the
-// deadline) has a vacuous certificate; the global prefix is then empty.
-func (c *Coordinator) gather(outs []shardOut, req core.Request) ([]core.Result, []core.ShardStat, bool) {
-	k := req.TopK
-	if k <= 0 {
-		k = 10
-	}
+// its pool could certify anything (its context expired before the
+// pool ran, or plan compilation or prewarm hit the deadline) has a
+// vacuous certificate; the global prefix is then empty.
+func gather(outs []shardOut, k int) ([]cn.Result, []core.ShardStat, bool) {
 	n := len(outs)
 	idx := make([]int, n)
-	var merged []core.Result
+	var merged []cn.Result
 	for len(merged) < k {
 		best := -1
 		for s := 0; s < n; s++ {
-			rs := outs[s].resp.Results
-			if idx[s] >= len(rs) {
-				continue
-			}
-			if best == -1 || coreLess(rs[idx[s]], outs[best].resp.Results[idx[best]]) {
+			if idx[s] < len(outs[s].results) &&
+				(best == -1 || cn.Less(outs[s].results[idx[s]], outs[best].results[idx[best]])) {
 				best = s
 			}
 		}
 		if best == -1 {
 			break
 		}
-		merged = append(merged, outs[best].resp.Results[idx[best]])
+		merged = append(merged, outs[best].results[idx[best]])
 		idx[best]++
 	}
 
 	partial := false
 	bound := math.Inf(-1)
-	for s := range outs {
-		if !outs[s].resp.Partial {
+	for _, o := range outs {
+		if !o.partial() {
 			continue
 		}
 		partial = true
-		if x := outs[s].resp.Stats.Exec; x != nil && x.Partial {
-			if x.CertifiedBound > bound {
-				bound = x.CertifiedBound
-			}
-		} else {
-			bound = math.Inf(1) // no certificate: nothing survives
+		b := math.Inf(1) // no certificate: nothing survives
+		if o.stats.Partial {
+			b = o.stats.CertifiedBound
 		}
+		bound = math.Max(bound, b)
 	}
 	if partial {
-		i := 0
-		for i < len(merged) && merged[i].Score > bound && !fmath.Eq(merged[i].Score, bound) {
-			i++
-		}
-		merged = merged[:i]
+		merged = cn.CertifiedPrefix(merged, bound)
 	}
 
 	stats := make([]core.ShardStat, n)
 	for s := range outs {
 		stats[s] = core.ShardStat{
 			Shard:   s,
-			Results: len(outs[s].resp.Results),
+			Results: len(outs[s].results),
 			Pulled:  idx[s],
-			Partial: outs[s].resp.Partial,
+			Partial: outs[s].partial(),
 			Elapsed: outs[s].elapsed,
-			Exec:    outs[s].resp.Stats.Exec,
+			Exec:    &outs[s].stats,
 		}
 	}
 	return merged, stats, partial
-}
-
-// coreLess applies the system-wide cn.Less total order to the public
-// result shape (the fields Less consults — score, tuples, CN — survive
-// the core.Result conversion unchanged).
-func coreLess(a, b core.Result) bool {
-	return cn.Less(
-		cn.Result{CN: a.CN, Tuples: a.Tuples, Score: a.Score},
-		cn.Result{CN: b.CN, Tuples: b.Tuples, Score: b.Score},
-	)
-}
-
-// rejectOutcome classifies an admission failure for the slowlog
-// (mirrors core's internal classification).
-func rejectOutcome(err error) obs.Outcome {
-	switch {
-	case errors.Is(err, core.ErrOverloaded):
-		return obs.OutcomeShed
-	case errors.Is(err, core.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return obs.OutcomeDeadline
-	}
-	return obs.OutcomeError
-}
-
-// capture retains one coordinated-query exemplar in the slow-query log
-// and emits the structured warn line; no-op without a slowlog. The
-// entry's Stats carry the per-shard breakdown (Stats.Shards), giving
-// slowlog consumers shard attribution for tail queries.
-func (c *Coordinator) capture(ctx context.Context, req core.Request, root *obs.Span, st *core.Stats, outcome obs.Outcome, errText string, elapsed time.Duration, lg *obs.Logger) {
-	if c.slowlog == nil {
-		return
-	}
-	ns := ""
-	if c.base.Plans != nil {
-		ns = c.base.Plans.Namespace()
-	}
-	entry := obs.Entry{
-		RequestID:    obs.RequestIDFrom(ctx),
-		Namespace:    ns,
-		KeywordsHash: obs.KeywordsHash(req.Query),
-		Outcome:      outcome,
-		Duration:     elapsed,
-		Err:          errText,
-		Trace:        root,
-	}
-	if st != nil {
-		entry.Keywords = st.Terms
-		entry.PlanSignature = st.PlanSignature
-		entry.Stats = *st
-	}
-	seq := c.slowlog.Record(entry)
-	if lg.Enabled(obs.LevelWarn) {
-		fields := []obs.Field{
-			obs.F("slowlog_seq", seq),
-			obs.F("outcome", string(outcome)),
-			obs.F("keywords_hash", entry.KeywordsHash),
-			obs.F("shards", len(c.shards)),
-			obs.F("elapsed", elapsed),
-		}
-		if entry.RequestID != "" {
-			fields = append(fields, obs.F("request_id", entry.RequestID))
-		}
-		if errText != "" {
-			fields = append(fields, obs.F("error", errText))
-		}
-		lg.Warn("sharded query captured in slowlog", fields...)
-	}
 }

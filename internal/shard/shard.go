@@ -1,10 +1,17 @@
-// Package shard presents N shard engines as one logical engine: a
-// scatter-gather Coordinator implementing the same context-first query
+// Package shard presents N partitioned executors as one logical engine:
+// a scatter-gather Coordinator implementing the same context-first query
 // contract (core.Searcher) as a single core.Engine, so every transport
 // — the HTTP server, the CLIs, the load generator — runs unchanged over
 // a partitioned deployment.
 //
-// The partition is logical, not physical: every shard view shares the
+// The coordinator runs every logical query through exactly one
+// core.Envelope (admission, tracing, slowlog, metrics). Inside it, a
+// candidate-network query is tokenized once, scattered to N
+// exec.Executors and gathered by a k-way merge with cross-shard
+// certification; every other semantics is evaluated by the base engine
+// directly.
+//
+// The partition is logical, not physical: every executor shares the
 // same relational store, inverted index, schema graph, plan cache and
 // binder (all concurrency-safe and partition-agnostic), and restricts
 // evaluation to the results it owns. Ownership hangs off the CN owner
@@ -16,9 +23,9 @@
 // complete answer — the properties the cross-shard merge proof in
 // DESIGN.md's sharding layer rests on.
 //
-// Invalidation and generation bumps route through every shard: the
-// binder and plan cache are shared (one bump covers all views; repeated
-// bumps are harmless generation increments), while each shard's private
+// Invalidation and generation bumps route through every executor: the
+// binder and plan cache are shared (one bump covers all; repeated bumps
+// are harmless generation increments), while each executor's private
 // posting and result caches are flushed individually.
 package shard
 
@@ -28,9 +35,9 @@ import (
 
 	"kwsearch/internal/cn"
 	"kwsearch/internal/core"
+	"kwsearch/internal/exec"
 	"kwsearch/internal/obs"
 	"kwsearch/internal/relstore"
-	"kwsearch/internal/resilience"
 )
 
 // ShardOf maps a tuple ID to its owning shard among n via FNV-1a over
@@ -54,8 +61,8 @@ func ShardOf(id relstore.TupleID, n int) int {
 
 // OwnedBy returns the partition predicate of shard s among n: it admits
 // the tuple IDs ShardOf assigns to s. One shard means no restriction
-// (nil), making the single-shard coordinator's engine view exactly the
-// base engine's exec path.
+// (nil), making the single-shard coordinator's executor evaluate
+// exactly what the base engine's executor does.
 func OwnedBy(s, n int) cn.Partition {
 	if n <= 1 {
 		return nil
@@ -67,15 +74,16 @@ func OwnedBy(s, n int) cn.Partition {
 type Options struct {
 	// Shards is the shard count (<=0 means 1).
 	Shards int
-	// Metrics is the coordinator's own registry, receiving the
-	// engine-level query metrics (query.elapsed_us, query.latency_us,
-	// shed/deadline/partial counters) for coordinated queries. Nil gets
-	// a fresh private one. Per-shard metrics live in each shard view's
-	// own registry (see Coordinator.ShardRegistry).
+	// Metrics is the coordinator's own registry, receiving its
+	// envelope's metrics (query.*, admission.*, slowlog.*) for every
+	// logical query. Nil gets a fresh private one. Per-shard executor
+	// metrics live in each shard's own registry (see
+	// Coordinator.ShardRegistry).
 	Metrics *obs.Registry
 	// ShardCtx, when non-nil, derives the context each shard sub-query
 	// runs under — the seam tests use to arm a resilience.Injector on
-	// one shard (a slow or failing shard) without touching the others.
+	// one shard (a slow or failing shard), or expire its context,
+	// without touching the others.
 	ShardCtx func(ctx context.Context, shard int) context.Context
 	// Workers sets each shard sub-query's default worker-pool size when
 	// the request leaves Workers unset (<=0 means 1: with one goroutine
@@ -84,27 +92,31 @@ type Options struct {
 	Workers int
 }
 
-// Coordinator is one logical engine over N shard engines. Construct
-// with New; safe for concurrent Query calls. It implements
-// core.Searcher.
+// Coordinator is one logical engine over N partitioned executors.
+// Construct with New; safe for concurrent Query calls. It implements
+// core.Searcher: the embedded Envelope supplies admission, the slowlog
+// and the registry.
 type Coordinator struct {
-	base    *core.Engine
-	shards  []*core.Engine
-	metrics *obs.Registry
-	workers int
-
-	gate     *resilience.Gate
-	slowlog  *obs.SlowLog
+	core.Envelope
+	base  *core.Engine
+	execs []*exec.Executor
+	// regs[s] is executor s's private registry (ShardRegistry).
+	regs     []*obs.Registry
+	workers  int
 	shardCtx func(context.Context, int) context.Context
 }
 
 var _ core.Searcher = (*Coordinator)(nil)
 
-// New builds a coordinator over base, deriving one shard view per
-// shard. The base engine stays fully usable — the coordinator delegates
-// the non-CN semantics (spark, banks, steiner) to it unpartitioned,
+// New builds a coordinator over base with one partitioned executor per
+// shard, each over the base engine's binder and plan cache. The base
+// engine stays fully usable — the coordinator hands the non-CN
+// semantics (spark, banks, steiner) to its evaluation unpartitioned,
 // since their scoring is either non-monotone (spark's skyline) or
 // graph-global, where a per-shard merge has no soundness proof.
+//
+// Each executor is private because the result cache's key carries no
+// partition identity.
 func New(base *core.Engine, opts Options) (*Coordinator, error) {
 	if base == nil || base.DB == nil {
 		return nil, fmt.Errorf("shard: coordinator requires a relational engine")
@@ -121,95 +133,50 @@ func New(base *core.Engine, opts Options) (*Coordinator, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	c := &Coordinator{base: base, metrics: reg, workers: workers, shardCtx: opts.ShardCtx}
-	_ = reg.Windowed("query.latency_us")
-	reg.RegisterSLO("query_latency", obs.SLO{
-		Series:    "query.latency_us",
-		Threshold: float64(core.DefaultSLOThreshold.Microseconds()),
-		Objective: 0.99,
-	})
+	c := &Coordinator{
+		Envelope: core.NewEnvelope(reg, base.Plans),
+		base:     base,
+		workers:  workers,
+		shardCtx: opts.ShardCtx,
+	}
 	for s := 0; s < n; s++ {
-		c.shards = append(c.shards, base.ShardView(OwnedBy(s, n), obs.NewRegistry()))
+		sreg := obs.NewRegistry()
+		c.regs = append(c.regs, sreg)
+		c.execs = append(c.execs, exec.New(base.DB, base.Index, exec.Options{
+			FreeTables: base.FreeTables,
+			Metrics:    sreg,
+			Plans:      base.Plans,
+			Binder:     base.Binder,
+			Partition:  OwnedBy(s, n),
+		}))
 	}
 	return c, nil
 }
 
 // Shards returns the shard count.
-func (c *Coordinator) Shards() int { return len(c.shards) }
+func (c *Coordinator) Shards() int { return len(c.execs) }
 
 // Base returns the underlying unpartitioned engine.
 func (c *Coordinator) Base() *core.Engine { return c.base }
 
+// Executor returns shard s's partitioned executor.
+func (c *Coordinator) Executor(s int) *exec.Executor { return c.execs[s] }
+
 // ShardRegistry returns shard s's private metrics registry — the
-// per-shard attribution surface (executor counters, cache hit rates,
-// admission outcomes for that shard alone).
-func (c *Coordinator) ShardRegistry(s int) *obs.Registry { return c.shards[s].Metrics }
-
-// Registry returns the coordinator's own metrics registry.
-func (c *Coordinator) Registry() *obs.Registry { return c.metrics }
-
-// Admit installs admission control at every level: the coordinator's
-// own gate (guarding coordinated CN queries), the base engine's
-// (guarding delegated non-CN queries) and each shard engine's, all at
-// the same limits. The shard gates feed the global one: a coordinated
-// query holds one coordinator slot and one slot per shard, and because
-// the coordinator admits at most limit queries concurrently, a shard
-// gate with the same limit can never shed a sub-query the coordinator
-// admitted — the hierarchy adds per-shard admission metrics without
-// spurious rejections. A non-positive limit removes every gate.
-func (c *Coordinator) Admit(limit, maxQueue int) {
-	if limit <= 0 {
-		c.gate = nil
-		c.base.Admit(0, 0)
-		for _, sh := range c.shards {
-			sh.Admit(0, 0)
-		}
-		return
-	}
-	g := resilience.NewGate(limit, maxQueue)
-	if c.metrics != nil {
-		g.Instrument(c.metrics)
-	}
-	c.gate = g
-	c.base.Admit(limit, maxQueue)
-	for _, sh := range c.shards {
-		sh.Admit(limit, maxQueue)
-	}
-}
-
-// Gate returns the coordinator's admission gate, nil unless Admit
-// installed one.
-func (c *Coordinator) Gate() *resilience.Gate { return c.gate }
-
-// SetSlowLog installs (or with nil removes) the slow-query log on the
-// coordinator and the base engine: coordinated queries are captured
-// here with their per-shard breakdown in Entry.Stats.Shards, delegated
-// non-CN queries by the base engine's own capture path. Shard engines
-// get no slowlog — their sub-queries are fragments of one logical
-// query, and capturing fragments would triple-count it.
-func (c *Coordinator) SetSlowLog(l *obs.SlowLog) {
-	c.slowlog = l
-	if l != nil && c.metrics != nil {
-		l.Instrument(c.metrics)
-	}
-	c.base.SetSlowLog(l)
-}
-
-// SlowLog returns the coordinator's slow-query log, nil unless
-// SetSlowLog installed one.
-func (c *Coordinator) SlowLog() *obs.SlowLog { return c.slowlog }
+// per-shard attribution surface (executor counters and cache hit rates
+// for that shard alone).
+func (c *Coordinator) ShardRegistry(s int) *obs.Registry { return c.regs[s] }
 
 // SetPlanNamespace re-namespaces the shared plan cache and propagates
-// the new handle to every shard engine's executor (the cache handle is
-// immutable; re-namespacing creates a new one, so each holder must be
-// re-pointed). Call during setup, before concurrent queries.
+// the new handle to the base engine, the envelope and every shard
+// executor (the cache handle is immutable; re-namespacing creates a new
+// one, so each holder must be re-pointed). Call during setup, before
+// concurrent queries.
 func (c *Coordinator) SetPlanNamespace(ns string) {
 	c.base.SetPlanNamespace(ns)
-	for _, sh := range c.shards {
-		sh.Plans = c.base.Plans
-		if sh.Exec != nil {
-			sh.Exec.SetPlans(c.base.Plans)
-		}
+	c.Plans = c.base.Plans
+	for _, x := range c.execs {
+		x.SetPlans(c.Plans)
 	}
 }
 
@@ -220,8 +187,8 @@ func (c *Coordinator) SetPlanNamespace(ns string) {
 // mutating the database.
 func (c *Coordinator) InvalidateCaches() {
 	c.base.Exec.InvalidateCaches()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateCaches()
+	for _, x := range c.execs {
+		x.InvalidateCaches()
 	}
 }
 
@@ -230,15 +197,15 @@ func (c *Coordinator) InvalidateCaches() {
 // plans warm — the after-data-growth path.
 func (c *Coordinator) InvalidateDataCaches() {
 	c.base.Exec.InvalidateDataCaches()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateDataCaches()
+	for _, x := range c.execs {
+		x.InvalidateDataCaches()
 	}
 }
 
 // InvalidateResults bumps only the result caches across the deployment.
 func (c *Coordinator) InvalidateResults() {
 	c.base.Exec.InvalidateResults()
-	for _, sh := range c.shards {
-		sh.Exec.InvalidateResults()
+	for _, x := range c.execs {
+		x.InvalidateResults()
 	}
 }

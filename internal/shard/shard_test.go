@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"kwsearch/internal/core"
+	"kwsearch/internal/dataset"
 	"kwsearch/internal/exec"
+	"kwsearch/internal/obs"
 	"kwsearch/internal/relstore"
 	"kwsearch/internal/resilience"
 )
@@ -306,27 +309,28 @@ func TestCoordinatorPartialOnSlowShard(t *testing.T) {
 
 // TestCoordinatorAbsorbsShardDeadlineError is the regression test for
 // the scatter-gather deadline seam: a shard whose sub-query dies with
-// ErrDeadlineExceeded (deadline expired at the shard's admission gate,
-// or before the fan-out goroutine was scheduled — routine on a loaded
-// box) must NOT fail the logical query. The coordinator already
+// a deadline error before its pool could certify anything (its context
+// already expired when the fan-out goroutine got to it — routine on a
+// loaded box) must NOT fail the logical query. The coordinator already
 // admitted it, so the engine contract makes this a mid-evaluation
 // expiry: a partial response with a nil error, the dead shard absorbed
 // as vacuously partial (no certificate → the certified prefix is
-// empty). Pre-fix the coordinator returned the shard's error and kwsd
-// served 503 for a query it had accepted.
+// empty). The shard is killed through ShardCtx with an already-expired
+// context; the coordinator has no per-shard admission stage to inject
+// a fault at.
 func TestCoordinatorAbsorbsShardDeadlineError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	engine := core.NewRelational(randomCorpusDB(rng, 3))
 	req := core.Request{Query: "keyword search", TopK: 10, MaxCNSize: 5}
 
 	const deadShard = 2
-	in := resilience.NewInjector(7).Arm(resilience.StageAdmit,
-		resilience.Fault{Err: resilience.ErrDeadlineExceeded})
 	coord, err := New(engine, Options{
 		Shards: 4,
 		ShardCtx: func(ctx context.Context, s int) context.Context {
 			if s == deadShard {
-				return resilience.WithInjector(ctx, in)
+				expired, cancel := context.WithDeadline(ctx, time.Unix(0, 0))
+				cancel() // the deadline error stands: it was set first
+				return expired
 			}
 			return ctx
 		},
@@ -353,7 +357,7 @@ func TestCoordinatorAbsorbsShardDeadlineError(t *testing.T) {
 		t.Errorf("dead shard %d not marked partial in stats", deadShard)
 	}
 	if len(resp.Stats.Terms) == 0 {
-		t.Error("Stats.Terms empty; should come from a surviving shard")
+		t.Error("Stats.Terms empty; the envelope tokenizes before the scatter")
 	}
 
 	// Cancellation is not absorbed: a cancelled caller gets the error.
@@ -364,5 +368,81 @@ func TestCoordinatorAbsorbsShardDeadlineError(t *testing.T) {
 	cancel()
 	if _, err := coord.Query(cctx, req); err == nil {
 		t.Fatal("cancelled query returned nil error")
+	}
+}
+
+// TestCoordinatorTermLimit: the coordinator's envelope rejects a CN
+// query with more terms than a term mask holds, exactly as a single
+// engine does, and still answers at the limit.
+func TestCoordinatorTermLimit(t *testing.T) {
+	coord, err := New(core.NewRelational(dataset.DBLP(dataset.DefaultDBLPConfig())), Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(n int) string { return strings.Repeat("keyword ", n-1) + "sigmod" }
+	if _, err := coord.Query(context.Background(), core.Request{Query: query(33)}); !errors.Is(err, core.ErrBadQuery) {
+		t.Errorf("33 terms: err = %v, want ErrBadQuery", err)
+	}
+	for _, n := range []int{31, 32} {
+		resp, err := coord.Query(context.Background(), core.Request{Query: query(n), MaxCNSize: 3})
+		if err != nil {
+			t.Fatalf("%d terms: %v", n, err)
+		}
+		if len(resp.Results) == 0 || len(resp.Results[0].Tuples) != 2 {
+			t.Errorf("%d terms: top answer %v, want a conference ⋈ paper join", n, resp.Results)
+		}
+	}
+}
+
+// TestCoordinatorRunsOneEnvelope: a coordinated query passes through
+// exactly one envelope — one latency observation and one slowlog
+// exemplar for the logical query, and no envelope series at all in the
+// shards' registries.
+func TestCoordinatorRunsOneEnvelope(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	coord, err := New(core.NewRelational(randomCorpusDB(rng, 3)), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Admit(4, 4)
+	sl := obs.NewSlowLog(8, time.Nanosecond) // every query is slow (0 disables the trigger)
+	coord.SetSlowLog(sl)
+
+	resp, err := coord.Query(context.Background(), core.Request{Query: "keyword search", TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) == 0 {
+		t.Fatal("corpus query returned no results; pick another seed")
+	}
+	if got := coord.Registry().Snapshot().Histograms["query.elapsed_us"].Count; got != 1 {
+		t.Errorf("coordinator recorded %d query.elapsed_us observations, want 1", got)
+	}
+	if got := len(sl.Entries()); got != 1 {
+		t.Errorf("slowlog holds %d entries, want 1", got)
+	}
+	for s := 0; s < coord.Shards(); s++ {
+		snap := coord.ShardRegistry(s).Snapshot()
+		var names []string
+		for name := range snap.Counters {
+			names = append(names, name)
+		}
+		for name := range snap.Gauges {
+			names = append(names, name)
+		}
+		for name := range snap.Histograms {
+			names = append(names, name)
+		}
+		for name := range snap.Windows {
+			names = append(names, name)
+		}
+		for name := range snap.SLOs {
+			names = append(names, name)
+		}
+		for _, name := range names {
+			if strings.HasPrefix(name, "query") || strings.HasPrefix(name, "admission.") {
+				t.Errorf("shard %d registry has envelope series %q", s, name)
+			}
+		}
 	}
 }

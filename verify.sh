@@ -3,15 +3,27 @@
 # human before pushing) runs, in dependency order. Exits non-zero on the
 # first failure.
 #
-#   ./verify.sh          # full verification
-#   ./verify.sh -short   # skip the -race stress tests' slow bodies
+#   ./verify.sh             # full verification
+#   ./verify.sh -short      # skip the -race stress tests' slow bodies
+#   ./verify.sh -race-pkgs  # print the race-tested packages (make race)
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The concurrency-bearing packages run under -race: the one list, read
+# by `make race` too.
+race_pkgs=(./internal/parallel/... ./internal/stream/... ./internal/cn/...
+    ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/...
+    ./internal/resilience/... ./internal/core/... ./internal/server/...
+    ./internal/analysis/... ./internal/plan/... ./internal/shard/...)
+
 short=""
-if [[ "${1:-}" == "-short" ]]; then
-    short="-short"
-fi
+case "${1:-}" in
+-short) short="-short" ;;
+-race-pkgs)
+    echo "${race_pkgs[*]}"
+    exit 0
+    ;;
+esac
 
 echo "==> go vet ./..."
 go vet ./...
@@ -23,10 +35,7 @@ echo "==> go test ./..."
 go test $short ./...
 
 echo "==> go test -race (concurrency-bearing packages)"
-go test -race $short ./internal/parallel/... ./internal/stream/... ./internal/cn/... \
-    ./internal/cache/... ./internal/exec/... ./internal/lca/... ./internal/obs/... \
-    ./internal/resilience/... ./internal/core/... ./internal/server/... \
-    ./internal/analysis/... ./internal/plan/... ./internal/shard/...
+go test -race $short "${race_pkgs[@]}"
 
 echo "==> observability overhead gate (E38 budget: 5%)"
 go run ./cmd/benchrunner -obs-overhead
