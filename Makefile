@@ -1,6 +1,6 @@
 # Convenience targets; verify.sh is the canonical sequence.
 
-.PHONY: verify verify-short build test race lint lint-fix bench bench-plan obs-bench
+.PHONY: verify verify-short build test race lint lint-fix bench bench-plan bench-kernel obs-bench
 
 verify:
 	./verify.sh
@@ -28,6 +28,9 @@ bench:
 
 bench-plan:
 	go test -bench 'PlanCache|Enumerate' -benchmem -run zz ./internal/plan/
+
+bench-kernel:
+	go test -bench CNKernelHub -benchmem -run zz .
 
 obs-bench:
 	go test -bench ObsSuiteOverhead -benchmem -run zz .

@@ -81,8 +81,8 @@ func randomCorpusDB(rng *rand.Rand, nEnt int) (*relstore.DB, []string) {
 }
 
 // assertBindingsEqual compares two BindSources bit-for-bit over every
-// observable: table membership, set contents and order, masks, scores
-// and max-scores.
+// observable: table membership, set contents and order, masks, per-table
+// mask unions, scores and max-scores.
 func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got BindSource, label string) {
 	t.Helper()
 	w, g := want.KeywordTables(), got.KeywordTables()
@@ -103,6 +103,9 @@ func assertBindingsEqual(t *testing.T, db *relstore.DB, want, got BindSource, la
 		}
 		if w, g := ids(want.FreeSet(name)), ids(got.FreeSet(name)); w != g {
 			t.Fatalf("%s: R^{}(%s) = [%s], want [%s]", label, name, g, w)
+		}
+		if w, g := want.KeywordMask(name), got.KeywordMask(name); w != g {
+			t.Fatalf("%s: keyword mask (%s) = %b, want %b", label, name, g, w)
 		}
 		wm, gm := want.MaxNodeScore(name), got.MaxNodeScore(name)
 		if math.Float64bits(wm) != math.Float64bits(gm) {

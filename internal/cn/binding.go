@@ -39,11 +39,12 @@ type lookupKey struct {
 // caches per query term list, so a repeated query skips the merge and
 // sort entirely; all maps and slices are read-only after construction.
 type mergedBinding struct {
-	masks     map[relstore.TupleID]uint32
-	scores    map[relstore.TupleID]float64
-	kwSets    map[string][]*relstore.Tuple
-	maxScores map[string]float64
-	kwTables  []string
+	masks      map[relstore.TupleID]uint32
+	scores     map[relstore.TupleID]float64
+	kwSets     map[string][]*relstore.Tuple
+	maxScores  map[string]float64
+	tableMasks map[string]uint32
+	kwTables   []string
 }
 
 // Binding is one query's keyword→tuple binding: the R^Q sets, term
@@ -60,7 +61,9 @@ type Binding struct {
 	scores    map[relstore.TupleID]float64
 	kwSets    map[string][]*relstore.Tuple
 	maxScores map[string]float64
-	kwTables  []string // sorted names of tables with a non-empty R^Q
+	// tableMasks holds, per table, the union of its R^Q tuples' masks.
+	tableMasks map[string]uint32
+	kwTables   []string // sorted names of tables with a non-empty R^Q
 
 	// freeSets and lookups memoize the lazy accessors until sealed.
 	// lookups additionally caches maps fetched from the shared binder,
@@ -87,16 +90,17 @@ func normalizeTerms(terms []string) []string {
 
 func newBinding(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binder) *Binding {
 	return &Binding{
-		db:        db,
-		ix:        ix,
-		terms:     norm,
-		binder:    binder,
-		masks:     make(map[relstore.TupleID]uint32),
-		scores:    make(map[relstore.TupleID]float64),
-		kwSets:    make(map[string][]*relstore.Tuple),
-		maxScores: make(map[string]float64),
-		freeSets:  make(map[string][]*relstore.Tuple),
-		lookups:   make(map[lookupKey]map[relstore.Value][]*relstore.Tuple),
+		db:         db,
+		ix:         ix,
+		terms:      norm,
+		binder:     binder,
+		masks:      make(map[relstore.TupleID]uint32),
+		scores:     make(map[relstore.TupleID]float64),
+		kwSets:     make(map[string][]*relstore.Tuple),
+		maxScores:  make(map[string]float64),
+		tableMasks: make(map[string]uint32),
+		freeSets:   make(map[string][]*relstore.Tuple),
+		lookups:    make(map[lookupKey]map[relstore.Value][]*relstore.Tuple),
 	}
 }
 
@@ -153,7 +157,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 			b := newBinding(db, ix, norm, binder)
 			b.masks, b.scores = mb.masks, mb.scores
 			b.kwSets, b.maxScores = mb.kwSets, mb.maxScores
-			b.kwTables = mb.kwTables
+			b.tableMasks, b.kwTables = mb.tableMasks, mb.kwTables
 			b.cachedTerms = len(norm)
 			psp := sp.Child("postings")
 			psp.SetAttr("terms", len(norm))
@@ -195,6 +199,7 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 	for ti, tb := range tbs {
 		bit := uint32(1) << uint(ti)
 		for _, r := range tb.rels {
+			b.tableMasks[r.table] |= bit
 			for i, tp := range r.tuples {
 				if b.masks[tp.ID] == 0 {
 					b.kwSets[r.table] = append(b.kwSets[r.table], tp)
@@ -224,7 +229,8 @@ func bindTerms(db *relstore.DB, ix *invindex.Index, norm []string, binder *Binde
 	if binder != nil {
 		binder.merged.Put(mergedKey, &mergedBinding{
 			masks: b.masks, scores: b.scores,
-			kwSets: b.kwSets, maxScores: b.maxScores, kwTables: b.kwTables,
+			kwSets: b.kwSets, maxScores: b.maxScores,
+			tableMasks: b.tableMasks, kwTables: b.kwTables,
 		})
 	}
 	return b
@@ -248,8 +254,9 @@ func NewScanBinding(db *relstore.DB, ix *invindex.Index, terms []string) *Bindin
 		t := db.Table(name)
 		var kw, free []*relstore.Tuple
 		for _, tp := range t.Tuples() {
-			if b.masks[tp.ID] != 0 {
+			if m := b.masks[tp.ID]; m != 0 {
 				kw = append(kw, tp)
+				b.tableMasks[name] |= m
 			} else {
 				free = append(free, tp)
 			}
@@ -340,6 +347,9 @@ func (b *Binding) TupleScore(tp *relstore.Tuple) float64 {
 
 // TermMask returns the query-term bitmask of tuple id (0 = free tuple).
 func (b *Binding) TermMask(id relstore.TupleID) uint32 { return b.masks[id] }
+
+// KeywordMask returns the union of the term masks of table's R^Q.
+func (b *Binding) KeywordMask(table string) uint32 { return b.tableMasks[table] }
 
 // Lookup returns the join map value→tuples for table.column. Maps come
 // from the shared binder when one backs this binding (built once per

@@ -49,6 +49,11 @@ type BindSource interface {
 	// TermMask returns the bitmask of query terms tuple id contains
 	// (bit i set ⇔ the tuple matches Terms()[i]); 0 for free tuples.
 	TermMask(id relstore.TupleID) uint32
+	// KeywordMask returns the union of the term masks of table's R^Q:
+	// every term some keyword tuple of table contains (0 when the table
+	// has no matches). It bounds what a keyword node of that table can
+	// add to a partial join's coverage.
+	KeywordMask(table string) uint32
 	// Lookup returns the join map value→tuples for a table column. May
 	// materialize lazily on first use; the map and its slices are
 	// shared and must not be mutated.

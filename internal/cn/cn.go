@@ -8,6 +8,7 @@ package cn
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"kwsearch/internal/schemagraph"
 )
@@ -34,10 +35,14 @@ type EdgeSpec struct {
 	Via  schemagraph.Edge
 }
 
-// CN is one candidate network: a tree over tuple sets.
+// CN is one candidate network: a tree over tuple sets. A CN is
+// immutable once built: its compiled program (see program.go) is
+// memoized on first use.
 type CN struct {
 	Nodes []NodeSpec
 	Edges []EdgeSpec
+
+	prog atomic.Pointer[program]
 }
 
 // Size returns the number of tuple sets.
@@ -69,7 +74,7 @@ func (c *CN) adjacency() [][]int {
 	for i, d := range deg {
 		start := len(backing)
 		backing = backing[:start+d]
-		adj[i] = backing[start:start : start+d]
+		adj[i] = backing[start : start : start+d]
 	}
 	for ei, e := range c.Edges {
 		adj[e.A] = append(adj[e.A], ei)
@@ -145,16 +150,15 @@ func edgeLabel(e schemagraph.Edge) string {
 	return string(b)
 }
 
-// Canonical returns a string that is identical for isomorphic CNs
-// (same multiset of tuple sets connected through the same foreign keys),
-// regardless of construction order. Trees are canonicalized by rooting at
-// the tree center(s) and sorting subtree encodings. Edge endpoints are
-// treated as unordered: for a foreign key whose two endpoint tables are
-// the same relation AND the same column (a true self-loop), the encoding
-// cannot distinguish the two orientations — such schemas do not occur in
-// practice (self-references use distinct columns, like cite.citing and
-// cite.cited, which the Via label distinguishes).
-func (c *CN) Canonical() string {
+// canonicalize computes Canonical's string. Trees are canonicalized by
+// rooting at the tree center(s) and sorting subtree encodings. Edge
+// endpoints are treated as unordered: for a foreign key whose two
+// endpoint tables are the same relation AND the same column (a true
+// self-loop), the encoding cannot distinguish the two orientations —
+// such schemas do not occur in practice (self-references use distinct
+// columns, like cite.citing and cite.cited, which the Via label
+// distinguishes).
+func (c *CN) canonicalize() string {
 	if len(c.Nodes) == 1 {
 		return c.Nodes[0].String()
 	}
@@ -237,7 +241,7 @@ func (c *CN) centers(adj [][]int) []int {
 	return out
 }
 
-// clone deep-copies the CN.
+// clone deep-copies the CN's shape; the copy compiles its own program.
 func (c *CN) clone() *CN {
 	nc := &CN{
 		Nodes: make([]NodeSpec, len(c.Nodes)),

@@ -105,59 +105,11 @@ func (ev *Evaluator) nodeSet(n NodeSpec) []*relstore.Tuple {
 	return ev.src.KeywordSet(n.Table)
 }
 
-// joinCandidates returns the tuples of CN node `to` that join with tuple tp
-// bound to node `from` via edge e.
-func (ev *Evaluator) joinCandidates(c *CN, e EdgeSpec, from int, tp *relstore.Tuple) []*relstore.Tuple {
-	to := e.A
-	if to == from {
-		to = e.B
-	}
-	toSpec := c.Nodes[to]
-	fromTable := ev.DB.Table(c.Nodes[from].Table)
-
-	var fromCol, toCol string
-	if e.Via.From == c.Nodes[from].Table && (e.Via.To == toSpec.Table) {
-		fromCol, toCol = e.Via.FromCol, e.Via.ToCol
-	} else {
-		fromCol, toCol = e.Via.ToCol, e.Via.FromCol
-	}
-	// Self-referencing edges (cite) need orientation by node position: the
-	// node attached later is always EdgeSpec.B, and Via is stored from the
-	// perspective of growing A->B; when from==e.B the roles reverse.
-	if e.Via.From == e.Via.To {
-		if from == e.A {
-			fromCol, toCol = e.Via.FromCol, e.Via.ToCol
-		} else {
-			fromCol, toCol = e.Via.ToCol, e.Via.FromCol
-		}
-	}
-
-	v := fromTable.Value(tp, fromCol)
-	if v.IsNull() {
-		return nil
-	}
-	cands := ev.src.Lookup(toSpec.Table, toCol)[v]
-	if len(cands) == 0 {
-		return nil
-	}
-	// Filter by membership in the node's tuple set: keyword nodes take
-	// matching tuples, free nodes take the complement (the DISCOVER
-	// partition keeps CN result sets disjoint).
-	var out []*relstore.Tuple
-	for _, cand := range cands {
-		inKW := ev.src.TermMask(cand.ID) != 0
-		if inKW != toSpec.Free {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
 // MaxTerms is the most query terms a term mask can track: masks are
 // uint32 with one bit per term, so a 33rd term's bit would be silently
 // dropped and results missing that term would count as total. Callers
-// bound queries to it (core rejects longer CN and SPARK queries with
-// ErrBadQuery).
+// bound queries to it (core rejects longer CN, SPARK and ELCA queries
+// with ErrBadQuery).
 const MaxTerms = 32
 
 // allTermsMask is the bitmask with one bit per query term. It panics on
@@ -171,103 +123,204 @@ func (ev *Evaluator) allTermsMask() uint32 {
 // removing any leaf tuple breaks coverage (the MTJNT semantics of
 // DISCOVER).
 func (ev *Evaluator) EvaluateCN(c *CN) []Result {
-	return ev.evaluateFiltered(c, nil)
+	return ev.evaluate(c, 0, nil, nil)
 }
 
 // EvaluateCNWith produces the results of c in which CN node driverIdx is
 // bound to the given tuple — the primitive the pipelined top-k strategies
 // use.
 func (ev *Evaluator) EvaluateCNWith(c *CN, driverIdx int, tp *relstore.Tuple) []Result {
-	return ev.EvaluateCNBound(c, map[int]*relstore.Tuple{driverIdx: tp})
+	return ev.evaluate(c, driverIdx, tp, nil)
 }
 
 // EvaluateCNBound produces the results of c under the given fixed node
 // bindings (node index -> tuple). SPARK's probe step fixes every keyword
-// node and asks whether connecting free tuples exist.
+// node and asks whether connecting free tuples exist. The walk starts at
+// the lowest fixed node.
 func (ev *Evaluator) EvaluateCNBound(c *CN, fixed map[int]*relstore.Tuple) []Result {
-	return ev.evaluateFiltered(c, fixed)
+	if len(fixed) == 0 {
+		return ev.EvaluateCN(c)
+	}
+	start := len(c.Nodes)
+	byNode := make([]*relstore.Tuple, len(c.Nodes))
+	for n, tp := range fixed {
+		byNode[n] = tp
+		if n < start {
+			start = n
+		}
+	}
+	return ev.evaluate(c, start, byNode[start], byNode)
 }
 
-func (ev *Evaluator) evaluateFiltered(c *CN, fixed map[int]*relstore.Tuple) []Result {
-	if len(c.Nodes) == 0 {
+// walk is one recursive evaluation of a CN: the compiled join order it
+// follows, the row being bound with its carried term masks, and the
+// results found.
+type walk struct {
+	ev    *Evaluator
+	c     *CN
+	p     *program
+	steps []step
+	all   uint32
+	// root, when non-nil, is the only tuple the first step binds;
+	// fixed[n], when non-nil, is the only tuple node n may bind.
+	root  *relstore.Tuple
+	fixed []*relstore.Tuple
+	// rest[i] is the union of what the keyword nodes of steps i.. can add
+	// to coverage (rest[len(steps)] = 0); joins[i] is step i's join map.
+	rest  []uint32
+	joins []map[relstore.Value][]*relstore.Tuple
+	// tps and masks are the row being bound, by CN node: masks[n] is
+	// tps[n]'s term mask, read once when the membership filter admitted it.
+	tps   []*relstore.Tuple
+	masks []uint32
+	out   []Result
+	one   [1]*relstore.Tuple // the root's candidate list when it is pinned
+}
+
+// evaluate runs the join kernel over c's breadth-first order rooted at
+// node start. root, when non-nil, is the only tuple start binds; fixed,
+// when non-nil, pins other nodes too (indexed by node).
+func (ev *Evaluator) evaluate(c *CN, start int, root *relstore.Tuple, fixed []*relstore.Tuple) []Result {
+	n := len(c.Nodes)
+	if n == 0 {
 		return nil
 	}
-	start := 0
-	for n := range fixed {
-		start = n
-		break
+	p := c.program(ev.DB)
+	steps := p.orders[start]
+	w := walk{
+		ev: ev, c: c, p: p, steps: steps, all: ev.allTermsMask(),
+		root: root, fixed: fixed,
+		rest:  coverable(ev.src, steps),
+		joins: make([]map[relstore.Value][]*relstore.Tuple, n),
+		tps:   make([]*relstore.Tuple, n),
+		masks: make([]uint32, n),
 	}
-	// Order nodes BFS from start so each subsequent node joins an
-	// already-bound one.
-	adj := c.adjacency()
-	order := []int{start}
-	via := map[int]EdgeSpec{}
-	parent := map[int]int{start: -1}
-	for qi := 0; qi < len(order); qi++ {
-		n := order[qi]
-		for _, ei := range adj[n] {
-			e := c.Edges[ei]
-			other := e.A
-			if other == n {
-				other = e.B
-			}
-			if _, seen := parent[other]; seen {
-				continue
-			}
-			parent[other] = n
-			via[other] = e
-			order = append(order, other)
-		}
+	for i := 1; i < n; i++ {
+		w.joins[i] = ev.src.Lookup(steps[i].table, steps[i].column)
 	}
-
-	binding := make([]*relstore.Tuple, len(c.Nodes))
-	var out []Result
-	var rec func(oi int)
-	rec = func(oi int) {
-		if oi == len(order) {
-			if r, ok := ev.finishRow(c, binding); ok {
-				out = append(out, r)
-			}
-			return
-		}
-		node := order[oi]
-		var cands []*relstore.Tuple
-		if oi == 0 {
-			if tp, ok := fixed[node]; ok {
-				cands = []*relstore.Tuple{tp}
-			} else {
-				cands = ev.nodeSet(c.Nodes[node])
-			}
-		} else {
-			cands = ev.joinCandidates(c, via[node], parent[node], binding[parent[node]])
-			if want, ok := fixed[node]; ok {
-				var kept []*relstore.Tuple
-				for _, tp := range cands {
-					if tp.ID == want.ID {
-						kept = append(kept, tp)
-					}
-				}
-				cands = kept
-			}
-		}
-		if node == 0 {
-			// The owner filter applies wherever node 0 lands in the BFS
-			// order — including fixed bindings, so a driver tuple outside
-			// the partition produces nothing here.
-			cands = ev.filterOwned(cands)
-		}
-		for _, tp := range cands {
-			if containsTuple(binding, tp) {
-				continue // a tuple may appear once per result tree
-			}
-			binding[node] = tp
-			rec(oi + 1)
-			binding[node] = nil
-		}
+	if root == nil && w.rest[0] != w.all {
+		return nil // some term is in none of the keyword nodes' sets
 	}
-	rec(0)
-	return out
+	w.bind(0, 0)
+	return w.out
 }
+
+// coverable returns, for each position i of steps, the union of what the
+// keyword nodes bound at positions i and later can add to a row's
+// coverage: each adds at most its table's R^Q mask union, and free nodes
+// add nothing (they admit only tuples matching no term). The extra final
+// entry is 0. A partial binding whose cover, OR'd with the next
+// position's entry, misses a term therefore has no total completion —
+// the soundness argument of the coverage prune.
+func coverable(src BindSource, steps []step) []uint32 {
+	rest := make([]uint32, len(steps)+1)
+	for i := len(steps) - 1; i >= 0; i-- {
+		rest[i] = rest[i+1]
+		if !steps[i].free {
+			rest[i] |= src.KeywordMask(steps[i].table)
+		}
+	}
+	return rest
+}
+
+// bind binds the node of step oi to each admissible candidate in turn and
+// recurses; cover is the union of the masks bound so far.
+func (w *walk) bind(oi int, cover uint32) {
+	if oi == len(w.steps) {
+		if r, ok := w.ev.finishRow(w.c, w.p, w.tps, w.masks); ok {
+			w.out = append(w.out, r)
+		}
+		return
+	}
+	st := &w.steps[oi]
+	var cands []*relstore.Tuple
+	switch {
+	case oi > 0:
+		cands = probe(w.joins[oi], w.tps[st.parent], st.col)
+	case w.root != nil:
+		w.one[0] = w.root
+		cands = w.one[:]
+	default:
+		cands = w.ev.nodeSet(w.c.Nodes[st.node])
+	}
+	var want *relstore.Tuple
+	if oi > 0 && w.fixed != nil {
+		want = w.fixed[st.node]
+	}
+	// The owner filter applies wherever node 0 lands in the order —
+	// including fixed bindings, so a driver tuple outside the partition
+	// produces nothing here.
+	owned := st.node == 0 && w.ev.keep != nil
+	need := w.rest[oi+1]
+	for _, tp := range cands {
+		mask := w.ev.src.TermMask(tp.ID)
+		// The root's candidates are its tuple set already; joined nodes
+		// filter the probe by membership.
+		if oi > 0 && !st.admits(mask) {
+			continue
+		}
+		if want != nil && tp.ID != want.ID {
+			continue
+		}
+		if owned && !w.ev.keep(tp.ID) {
+			continue
+		}
+		// Coverage prune: the nodes still unbound add at most need, so a
+		// binding that cannot reach every term yields no total row.
+		if cover|mask|need != w.all {
+			continue
+		}
+		if containsTuple(w.tps, tp) {
+			continue // a tuple may appear once per result tree
+		}
+		w.tps[st.node], w.masks[st.node] = tp, mask
+		// Redundancy prune: once the row covers every term, a leaf whose
+		// removal keeps the cover total stays removable in every
+		// completion (an unbound leaf too: the other nodes already cover
+		// everything), so no minimal row lies below.
+		if next := cover | mask; next != w.all || !redundantLeaf(w.p.leaves, w.masks, w.all) {
+			w.bind(oi+1, next)
+		}
+		w.tps[st.node], w.masks[st.node] = nil, 0
+	}
+}
+
+// redundantLeaf reports whether dropping one of leaves leaves the other
+// masks covering all — the minimality test, applied to a partial row
+// (unbound nodes carry mask 0, and masks only grow as nodes are bound).
+func redundantLeaf(leaves []int, masks []uint32, all uint32) bool {
+	for _, li := range leaves {
+		var rest uint32
+		for i, m := range masks {
+			if i != li {
+				rest |= m
+			}
+		}
+		if rest == all {
+			return true
+		}
+	}
+	return false
+}
+
+// probe returns the join candidates for a parent tuple: the join map's
+// tuples whose column equals the parent's join value, in place (shared;
+// callers filter while iterating and must not mutate the slice).
+func probe(join map[relstore.Value][]*relstore.Tuple, parent *relstore.Tuple, col int) []*relstore.Tuple {
+	if col < 0 {
+		return nil
+	}
+	v := parent.Values[col]
+	if v.IsNull() {
+		return nil
+	}
+	return join[v]
+}
+
+// admits reports whether a tuple with term mask m belongs to st's tuple
+// set: keyword nodes take matching tuples, free nodes the complement (the
+// DISCOVER partition keeps CN result sets disjoint).
+func (st *step) admits(m uint32) bool { return (m != 0) != st.free }
 
 func containsTuple(binding []*relstore.Tuple, tp *relstore.Tuple) bool {
 	for _, b := range binding {
@@ -279,38 +332,28 @@ func containsTuple(binding []*relstore.Tuple, tp *relstore.Tuple) bool {
 }
 
 // finishRow checks totality (all terms covered) and minimality (every leaf
-// contributes a needed term), then scores the row.
-func (ev *Evaluator) finishRow(c *CN, binding []*relstore.Tuple) (Result, bool) {
+// contributes a needed term) from the row's carried term masks (masks[i]
+// is tuples[i]'s), then scores the row. The only allocation is the
+// result's copy of tuples.
+func (ev *Evaluator) finishRow(c *CN, p *program, tuples []*relstore.Tuple, masks []uint32) (Result, bool) {
 	all := ev.allTermsMask()
 	var cover uint32
-	for _, tp := range binding {
-		cover |= ev.src.TermMask(tp.ID)
+	for _, m := range masks {
+		cover |= m
 	}
 	if cover != all {
 		return Result{}, false
 	}
 	// Minimality: dropping any keyword leaf must lose some term.
-	for _, li := range c.leaves() {
-		if len(c.Nodes) == 1 {
-			break
-		}
-		var rest uint32
-		for i, tp := range binding {
-			if i == li {
-				continue
-			}
-			rest |= ev.src.TermMask(tp.ID)
-		}
-		if rest == all {
-			return Result{}, false
-		}
+	if redundantLeaf(p.leaves, masks, all) {
+		return Result{}, false
 	}
 	score := 0.0
-	for _, tp := range binding {
+	for _, tp := range tuples {
 		score += ev.src.TupleScore(tp)
 	}
 	score /= float64(len(c.Nodes))
-	tuples := make([]*relstore.Tuple, len(binding))
-	copy(tuples, binding)
-	return Result{CN: c, Tuples: tuples, Score: score}, true
+	out := make([]*relstore.Tuple, len(tuples))
+	copy(out, tuples)
+	return Result{CN: c, Tuples: out, Score: score}, true
 }

@@ -54,6 +54,7 @@ func (ev *Evaluator) EvaluatePrefix(c *CN, prior [][]*relstore.Tuple, n int) [][
 	if n <= 0 || n > len(c.Nodes) {
 		return nil
 	}
+	p := c.program(ev.DB)
 	m := 0
 	bindings := prior
 	if len(prior) > 0 {
@@ -71,17 +72,12 @@ func (ev *Evaluator) EvaluatePrefix(c *CN, prior [][]*relstore.Tuple, n int) [][
 		m = 1
 	}
 	for j := m; j < n; j++ {
-		// Edge j-1 attaches node j to an earlier node (the enumerator's
-		// growth invariant); its other endpoint is the join parent.
-		e := c.Edges[j-1]
-		parent := e.A
-		if parent == j {
-			parent = e.B
-		}
+		st := &p.growth[j]
+		join := ev.src.Lookup(st.table, st.column)
 		var next [][]*relstore.Tuple
 		for _, b := range bindings {
-			for _, tp := range ev.joinCandidates(c, e, parent, b[parent]) {
-				if containsTuple(b, tp) {
+			for _, tp := range probe(join, b[st.parent], st.col) {
+				if !st.admits(ev.src.TermMask(tp.ID)) || containsTuple(b, tp) {
 					continue
 				}
 				nb := make([]*relstore.Tuple, j+1)
@@ -103,14 +99,20 @@ func (ev *Evaluator) EvaluatePrefix(c *CN, prior [][]*relstore.Tuple, n int) [][
 // checks and scores the survivors — the finishing step EvaluateCN applies
 // to its own search tree. EvaluatePrefix + BindingResults produce exactly
 // EvaluateCN's result set (possibly in a different order; SortResults
-// normalizes).
+// normalizes). Each row's term masks are read once into one buffer
+// reused across rows.
 func (ev *Evaluator) BindingResults(c *CN, bindings [][]*relstore.Tuple) []Result {
+	p := c.program(ev.DB)
+	masks := make([]uint32, len(c.Nodes))
 	var out []Result
 	for _, b := range bindings {
 		if len(b) != len(c.Nodes) {
 			continue
 		}
-		if r, ok := ev.finishRow(c, b); ok {
+		for i, tp := range b {
+			masks[i] = ev.src.TermMask(tp.ID)
+		}
+		if r, ok := ev.finishRow(c, p, b, masks); ok {
 			out = append(out, r)
 		}
 	}

@@ -27,7 +27,7 @@ func prefixSetup(t *testing.T) (*Evaluator, []*CN) {
 
 // resultSig renders a result into a canonical comparison string.
 func resultSig(r Result) string {
-	return fmt.Sprintf("%s|%s|%.12f", r.CN.Canonical(), resultKey(r), r.Score)
+	return fmt.Sprintf("%s|%s|%.12f", r.CN.Canonical(), appendResultKey(nil, r), r.Score)
 }
 
 func sigSet(rs []Result) map[string]int {

@@ -1,10 +1,15 @@
 package cn
 
 import (
+	"bytes"
+	"cmp"
 	"container/heap"
 	"context"
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"kwsearch/internal/fmath"
 	"kwsearch/internal/obs"
@@ -20,46 +25,68 @@ import (
 // would depend on production order, and the serial vs parallel execution
 // paths in internal/exec could not be byte-compared.
 func SortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool { return Less(rs[i], rs[j]) })
+	slices.SortStableFunc(rs, compare)
 }
 
 // Less is SortResults' comparator as a standalone strict weak order —
 // the total order every top-k list in the system follows. The sharding
 // coordinator's cross-shard merge uses it directly: per-shard lists
 // arrive already in this order, so merging by Less reproduces the
-// sorted concatenation exactly.
-func Less(a, b Result) bool {
+// sorted concatenation exactly. It does not allocate.
+func Less(a, b Result) bool { return compare(a, b) < 0 }
+
+// compare is Less as a three-way comparison: negative when a sorts
+// first, positive when b does, 0 when neither does.
+func compare(a, b Result) int {
 	if !fmath.Eq(a.Score, b.Score) {
-		return a.Score > b.Score
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
 	}
 	if len(a.Tuples) != len(b.Tuples) {
-		return len(a.Tuples) < len(b.Tuples)
+		return cmp.Compare(len(a.Tuples), len(b.Tuples))
 	}
-	if ka, kb := resultKey(a), resultKey(b); ka != kb {
-		return ka < kb
+	var bufA, bufB [keyBuf]byte
+	if c := bytes.Compare(appendResultKey(bufA[:0], a), appendResultKey(bufB[:0], b)); c != 0 {
+		return c
 	}
-	if ca, cb := a.CN.Canonical(), b.CN.Canonical(); ca != cb {
-		return ca < cb
+	if c := strings.Compare(a.CN.Canonical(), b.CN.Canonical()); c != 0 {
+		return c
 	}
 	for n := range a.Tuples {
 		if ta, tb := a.Tuples[n].ID, b.Tuples[n].ID; ta != tb {
-			return ta < tb
+			return cmp.Compare(ta, tb)
 		}
 	}
-	return false
+	return 0
 }
 
-func resultKey(r Result) string {
-	ids := make([]int, len(r.Tuples))
-	for i, tp := range r.Tuples {
-		ids[i] = int(tp.ID)
+// keyBuf sizes the stack buffers of compare's sorted-ID keys: 12 bytes
+// per tuple ("2147483647,") covers a CN of 10 nodes without touching the
+// heap; longer keys spill over through append.
+const keyBuf = 120
+
+// sortedIDs appends r's tuple IDs to dst and sorts them.
+func sortedIDs(dst []relstore.TupleID, r Result) []relstore.TupleID {
+	for _, tp := range r.Tuples {
+		dst = append(dst, tp.ID)
 	}
-	sort.Ints(ids)
-	key := ""
-	for _, id := range ids {
-		key += strconv.Itoa(id) + ","
+	slices.Sort(dst)
+	return dst
+}
+
+// appendResultKey appends r's sorted-ID key to dst: the tuple IDs in
+// ascending order, each in decimal followed by a comma. Keys compare as
+// byte strings (so ID 1010 sorts before 425), which is the tie order
+// every top-k list has always followed.
+func appendResultKey(dst []byte, r Result) []byte {
+	var idBuf [keyBuf / 12]relstore.TupleID
+	for _, id := range sortedIDs(idBuf[:0], r) {
+		dst = strconv.AppendInt(dst, int64(id), 10)
+		dst = append(dst, ',')
 	}
-	return key
+	return dst
 }
 
 // TopKNaive evaluates every CN fully, then sorts — the baseline of
@@ -122,35 +149,57 @@ func TopKSparse(ev *Evaluator, cns []*CN, k int) []Result {
 type gpState struct {
 	cn      *CN
 	driver  int
-	tuples  []*relstore.Tuple
+	tuples  []scoredTuple
 	pos     int
 	restMax float64 // sum of max scores of the other keyword nodes
+	class   int     // dedupe class: one per distinct canonical form
 }
 
-func (s *gpState) bound(ev *Evaluator) float64 {
+// scoredTuple is a driver tuple with its score, read once at setup.
+type scoredTuple struct {
+	tp    *relstore.Tuple
+	score float64
+}
+
+// driverList names a driver tuple list: a table's R^Q, restricted to
+// the owned tuples when owned is set.
+type driverList struct {
+	table string
+	owned bool
+}
+
+func (s *gpState) bound() float64 {
 	if s.pos >= len(s.tuples) {
 		return -1
 	}
-	return (ev.TupleScore(s.tuples[s.pos]) + s.restMax) / float64(s.cn.Size())
+	return (s.tuples[s.pos].score + s.restMax) / float64(s.cn.Size())
 }
 
-type gpHeap struct {
-	ev     *Evaluator
-	states []*gpState
-}
+type gpHeap []*gpState
 
-func (h gpHeap) Len() int { return len(h.states) }
-func (h gpHeap) Less(i, j int) bool {
-	return h.states[i].bound(h.ev) > h.states[j].bound(h.ev)
-}
-func (h gpHeap) Swap(i, j int)       { h.states[i], h.states[j] = h.states[j], h.states[i] }
-func (h *gpHeap) Push(x interface{}) { h.states = append(h.states, x.(*gpState)) }
+func (h gpHeap) Len() int            { return len(h) }
+func (h gpHeap) Less(i, j int) bool  { return h[i].bound() > h[j].bound() }
+func (h gpHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *gpHeap) Push(x interface{}) { *h = append(*h, x.(*gpState)) }
 func (h *gpHeap) Pop() interface{} {
-	old := h.states
+	old := *h
 	n := len(old)
 	it := old[n-1]
-	h.states = old[:n-1]
+	*h = old[:n-1]
 	return it
+}
+
+// appendSeenKey appends the pipeline's duplicate-check key of r to dst:
+// its CN's dedupe class, then its sorted tuple IDs, four bytes each. A
+// twin binding of a symmetric CN — the same tuples in swapped positions
+// — has the same key, so it counts as already produced.
+func appendSeenKey(dst []byte, class int, r Result) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(class))
+	var idBuf [keyBuf / 12]relstore.TupleID
+	for _, id := range sortedIDs(idBuf[:0], r) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst
 }
 
 // TopKGlobalPipeline interleaves the evaluation of all CNs: it repeatedly
@@ -200,7 +249,9 @@ func CertifiedPrefix(rs []Result, bound float64) []Result {
 // error, so callers can surface a sound partial answer.
 func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int, sp *obs.Span) ([]Result, error) {
 	inj := resilience.From(ctx)
-	h := &gpHeap{ev: ev}
+	var h gpHeap
+	classes := map[string]int{}
+	lists := map[driverList][]scoredTuple{}
 	for _, c := range cns {
 		kwNodes := c.KeywordNodes()
 		if len(kwNodes) == 0 {
@@ -213,17 +264,24 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 				driver = n
 			}
 		}
-		src := ev.KeywordSet(c.Nodes[driver].Table)
-		if driver == 0 {
-			// When the driver is the owner node the partition prunes its
-			// tuples up front; other drivers stay unfiltered and the owner
-			// filter inside EvaluateCNWith discards foreign results.
-			src = ev.filterOwned(src)
+		// When the driver is the owner node the partition prunes its
+		// tuples up front; other drivers stay unfiltered and the owner
+		// filter inside EvaluateCNWith discards foreign results. CNs
+		// driven from the same list share one sorted, read-only copy.
+		key := driverList{c.Nodes[driver].Table, driver == 0 && ev.Partitioned()}
+		tuples, ok := lists[key]
+		if !ok {
+			src := ev.KeywordSet(key.table)
+			if key.owned {
+				src = ev.filterOwned(src)
+			}
+			tuples = make([]scoredTuple, len(src))
+			for i, tp := range src {
+				tuples[i] = scoredTuple{tp, ev.TupleScore(tp)}
+			}
+			slices.SortStableFunc(tuples, func(a, b scoredTuple) int { return cmp.Compare(b.score, a.score) })
+			lists[key] = tuples
 		}
-		tuples := append([]*relstore.Tuple(nil), src...)
-		sort.SliceStable(tuples, func(i, j int) bool {
-			return ev.TupleScore(tuples[i]) > ev.TupleScore(tuples[j])
-		})
 		rest := 0.0
 		for _, n := range kwNodes {
 			if n != driver {
@@ -231,23 +289,30 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 			}
 		}
 		st := &gpState{cn: c, driver: driver, tuples: tuples, restMax: rest}
-		if st.bound(ev) > 0 {
-			h.states = append(h.states, st)
+		if st.bound() > 0 {
+			cl, ok := classes[c.Canonical()]
+			if !ok {
+				cl = len(classes)
+				classes[c.Canonical()] = cl
+			}
+			st.class = cl
+			h = append(h, st)
 		}
 	}
-	heap.Init(h)
+	heap.Init(&h)
 	sp.SetAttr("cns", len(cns))
 	sp.SetAttr("pipelined", h.Len())
 	sp.SetAttr("pruned", len(cns)-h.Len())
 
 	advances, produced, certified := 0, 0, false
 	var top []Result
-	seen := map[string]bool{}
+	seen := map[string]struct{}{}
+	var kb [64]byte
 	for h.Len() > 0 {
-		st := h.states[0]
-		b := st.bound(ev)
+		st := h[0]
+		b := st.bound()
 		if b < 0 {
-			heap.Pop(h)
+			heap.Pop(&h)
 			continue
 		}
 		if len(top) >= k && top[k-1].Score >= b {
@@ -268,25 +333,30 @@ func TopKGlobalPipelineCtx(ctx context.Context, ev *Evaluator, cns []*CN, k int,
 			sp.SetAttr("partial", true)
 			return top, err
 		}
-		tp := st.tuples[st.pos]
+		tp := st.tuples[st.pos].tp
 		st.pos++
 		advances++
-		heap.Fix(h, 0)
+		heap.Fix(&h, 0)
+		added := false
 		for _, r := range ev.EvaluateCNWith(st.cn, st.driver, tp) {
-			// The same result can be produced through different driver
-			// tuples of the same CN only if the driver appears twice,
-			// which the binding forbids; dedupe defensively anyway.
-			key := st.cn.Canonical() + "|" + resultKey(r)
-			if seen[key] {
+			// Each result binds one driver tuple and each is advanced
+			// once, so only a symmetric CN's twin bindings (or a CN
+			// listed twice) can repeat a (canonical, tuple set) key; the
+			// first one produced wins.
+			key := appendSeenKey(kb[:0], st.class, r)
+			if _, dup := seen[string(key)]; dup {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = struct{}{}
 			produced++
 			top = append(top, r)
+			added = true
 		}
-		SortResults(top)
-		if len(top) > k {
-			top = top[:k]
+		if added {
+			SortResults(top)
+			if len(top) > k {
+				top = top[:k]
+			}
 		}
 	}
 	sp.SetAttr("driver_advances", advances)

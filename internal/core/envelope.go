@@ -18,6 +18,7 @@ import (
 	"kwsearch/internal/obs"
 	"kwsearch/internal/plan"
 	"kwsearch/internal/resilience"
+	"kwsearch/internal/steiner"
 )
 
 // Body is what an Envelope wraps: a searcher's tokenizer and its
@@ -134,8 +135,8 @@ func (v *Envelope) SlowLog() *obs.SlowLog { return v.slowlog }
 //     fails queued queries whose deadline lapses with
 //     ErrDeadlineExceeded;
 //   - malformed requests fail with errors matching ErrBadQuery: empty
-//     after tokenization, or a CN or SPARK query with more than
-//     cn.MaxTerms terms.
+//     after tokenization, or more terms than the semantics can track
+//     (see termLimit).
 //
 // Run is safe for concurrent use.
 func (v *Envelope) Run(ctx context.Context, req Request, body Body) (*Response, error) {
@@ -191,11 +192,11 @@ func (v *Envelope) Run(ctx context.Context, req Request, body Body) (*Response, 
 	csp.End()
 	root.SetAttr("keywords", len(terms))
 	var bad error
-	switch {
+	switch limit := termLimit(req.Semantics); {
 	case len(terms) == 0:
 		bad = badQuery("core: empty query")
-	case len(terms) > cn.MaxTerms && (req.Semantics == CandidateNetworks || req.Semantics == SparkNetworks):
-		bad = badQuery(fmt.Sprintf("core: %d query terms, at most %d supported", len(terms), cn.MaxTerms))
+	case limit > 0 && len(terms) > limit:
+		bad = badQuery(fmt.Sprintf("core: %d query terms, at most %d supported", len(terms), limit))
 	}
 	if bad != nil {
 		root.End()
@@ -254,6 +255,21 @@ func (v *Envelope) Run(ctx context.Context, req Request, body Body) (*Response, 
 		req.Observer(resp.Stats, resp.Trace)
 	}
 	return resp, nil
+}
+
+// termLimit returns the most query terms sem answers correctly, 0 for
+// no limit. CN, SPARK and ELCA track terms in uint32 masks, so a 33rd
+// term's bit would be dropped and results missing it would count as
+// total; the group Steiner search gives up beyond steiner.MaxGroups
+// groups and would answer "no result".
+func termLimit(sem Semantics) int {
+	switch sem {
+	case CandidateNetworks, SparkNetworks, ELCA:
+		return cn.MaxTerms
+	case SteinerTree:
+		return steiner.MaxGroups
+	}
+	return 0
 }
 
 // fail ends a query that produced no response: it stamps st (when the

@@ -18,8 +18,10 @@ import (
 // context error agree on what happened.
 var (
 	// ErrBadQuery marks queries the engine cannot execute: empty after
-	// normalization, CN or SPARK queries with more than cn.MaxTerms
-	// terms, or a semantics the engine's data model lacks.
+	// normalization, CN, SPARK or ELCA queries with more than
+	// cn.MaxTerms terms, Steiner queries with more than
+	// steiner.MaxGroups terms, or a semantics the engine's data model
+	// lacks.
 	ErrBadQuery = errors.New("core: bad query")
 	// ErrOverloaded is returned when admission control sheds the query
 	// (the gate is full and the bounded queue has no room).

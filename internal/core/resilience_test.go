@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strconv"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"kwsearch/internal/cn"
 	"kwsearch/internal/dataset"
 	"kwsearch/internal/resilience"
+	"kwsearch/internal/steiner"
 )
 
 // renderCN serializes CN results bit-exactly (tuple IDs in CN node order
@@ -198,6 +201,44 @@ func TestBadQueryTyped(t *testing.T) {
 // a uint32 term mask would drop "sigmod"'s bit.
 func termQuery(n int) string {
 	return strings.Repeat("keyword ", n-1) + "sigmod"
+}
+
+// TestSteinerTermLimit: the group Steiner search gives up beyond
+// steiner.MaxGroups groups, so a longer query fails with ErrBadQuery
+// instead of answering "no result", while a query at the limit is
+// searched (its 2^20-subset program outlasts the deadline, which makes
+// the answer a partial one, not an error).
+func TestSteinerTermLimit(t *testing.T) {
+	e := NewRelational(dataset.WidomBib())
+	long := strings.Repeat("widom ", steiner.MaxGroups+1)
+	if _, err := e.Query(context.Background(), Request{Query: long, Semantics: SteinerTree}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("%d terms: err = %v, want ErrBadQuery", steiner.MaxGroups+1, err)
+	}
+	atLimit := strings.Repeat("widom ", steiner.MaxGroups)
+	if _, err := e.Query(context.Background(), Request{Query: atLimit, Semantics: SteinerTree, Deadline: 50 * time.Millisecond}); err != nil {
+		t.Errorf("%d terms: %v, want an answer", steiner.MaxGroups, err)
+	}
+	resp, err := e.Query(context.Background(), Request{Query: "widom xml", Semantics: SteinerTree})
+	if err != nil || len(resp.Results) != 1 {
+		t.Fatalf("widom xml: %v, %v; want one tree", resp, err)
+	}
+}
+
+// TestELCATermLimit: ELCA tracks terms in uint32 masks, so a 33rd
+// term's bit would be dropped and nodes missing it would count as
+// ELCAs; such queries fail with ErrBadQuery, while 32 terms answer
+// exactly what the two distinct terms do.
+func TestELCATermLimit(t *testing.T) {
+	e := NewXML(dataset.ConfXML())
+	query := func(n int) string { return strings.Repeat("keyword ", n-1) + "mark" }
+	if _, err := e.Query(context.Background(), Request{Query: query(cn.MaxTerms + 1), Semantics: ELCA}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("%d terms: err = %v, want ErrBadQuery", cn.MaxTerms+1, err)
+	}
+	want := search(t, e, Request{Query: "keyword mark", Semantics: ELCA})
+	got := search(t, e, Request{Query: query(cn.MaxTerms), Semantics: ELCA})
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%d terms: %v, want %v", cn.MaxTerms, got, want)
+	}
 }
 
 // TestQueryTermLimit: a CN or SPARK query with more terms than a term

@@ -21,7 +21,8 @@ func ELCAStackTraced(ix *xmltree.Index, terms []string, sp *obs.Span) []*xmltree
 // stream with a path stack — the DIL-style semantics of XRank (Guo et al.
 // SIGMOD'03): a node is an ELCA if its subtree covers every keyword using
 // only witnesses that are not inside an all-keyword descendant.
-// O(d·Σ|Sᵢ|) after the merge.
+// O(d·Σ|Sᵢ|) after the merge. Keyword masks are uint32, so at most 32
+// terms are tracked (core rejects longer ELCA queries with ErrBadQuery).
 func ELCAStack(ix *xmltree.Index, terms []string) []*xmltree.Node {
 	lists := lookupLists(ix, terms)
 	if lists == nil {

@@ -82,6 +82,14 @@ func GroupSteiner(g *datagraph.Graph, groups [][]datagraph.NodeID) (*Tree, bool)
 	return t, ok
 }
 
+// MaxGroups is the most keyword groups GroupSteinerCtx searches: the
+// dynamic program keeps a state per (vertex, group subset) in a uint32
+// mask, and its 2^l subsets per vertex make more groups intractable, so
+// beyond MaxGroups it reports no tree. Callers bound queries to it (core
+// rejects longer Steiner queries with ErrBadQuery rather than answer
+// "no result").
+const MaxGroups = 20
+
 // steinerCtxCheckStride is how many heap pops run between cancellation
 // checks in GroupSteinerCtx.
 const steinerCtxCheckStride = 64
@@ -94,7 +102,7 @@ const steinerCtxCheckStride = 64
 func GroupSteinerCtx(ctx context.Context, g *datagraph.Graph, groups [][]datagraph.NodeID) (*Tree, bool, error) {
 	inj := resilience.From(ctx)
 	l := len(groups)
-	if l == 0 || l > 20 {
+	if l == 0 || l > MaxGroups {
 		return nil, false, nil
 	}
 	for _, grp := range groups {
